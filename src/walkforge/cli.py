@@ -95,14 +95,15 @@ def _walk_config(s: _Settings, n_default=10, l_default=5) -> WalkConfig:
 
 
 def _skipgram_config(s: _Settings) -> SkipGramConfig:
+    d = SkipGramConfig()
     return SkipGramConfig(
-        dim=s.get("dim", 64, int),
-        window=s.get("window", 5, int),
-        learning_rate=s.get("lr", 0.05, float),
-        epochs=s.get("epochs", 1, int),
-        negatives=s.get("negatives", 5, int),
-        min_count=s.get("min-count", 1, int),
-        seed=s.get("seed", 0, int),
+        dim=s.get("dim", d.dim, int),
+        window=s.get("window", d.window, int),
+        learning_rate=s.get("lr", d.learning_rate, float),
+        epochs=s.get("epochs", d.epochs, int),
+        negatives=s.get("negatives", d.negatives, int),
+        min_count=s.get("min-count", d.min_count, int),
+        seed=s.get("seed", d.seed, int),
     )
 
 

@@ -3,14 +3,16 @@
 Two training objectives over the same (input, output) vector pair per
 node: the exact softmax co-occurrence likelihood (only viable at test
 scale) and its negative-sampling approximation with the usual 3/4-power
-unigram noise distribution. SGD walks the pair stream in corpus order
-with a linearly decaying learning rate; the serial path is bit-for-bit
-reproducible for a fixed seed.
+unigram noise distribution. Training takes minibatch SGD steps along the
+pair stream in corpus order, with a linearly decaying learning rate, using
+the same loss and gradient functions the gradient check verifies; it is
+bit-for-bit reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .walks import WalkCorpus
 class SkipGramConfig:
     dim: int = 64
     window: int = 5
-    learning_rate: float = 0.05
+    learning_rate: float = 0.1
     epochs: int = 1
     negatives: int = 5        # 0 selects the exact-softmax path
     min_count: int = 1
@@ -67,18 +69,36 @@ class EmbeddingMatrix:
             raise UnknownNodeError(f"node {u} has no embedding row")
 
 
-def context_pairs(corpus: WalkCorpus, window: int) -> list:
-    """All (center, context) pairs within the window, in corpus order."""
+def _flatten(walks):
+    """The walks as one token array plus the length of each walk."""
+    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
+    tokens = np.fromiter(chain.from_iterable(walks), dtype=np.intp,
+                         count=int(lengths.sum()))
+    return tokens, lengths
+
+
+def context_pairs(corpus: WalkCorpus, window: int, min_count: int = 1) -> np.ndarray:
+    """All (center, context) pairs within the window, in corpus order.
+
+    Returns an (m, 2) intp array: centers in walk order, and for each center
+    its contexts from left to right. Nodes seen fewer than min_count times
+    in the corpus are first dropped from the walks, closing the gaps.
+    """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    pairs = []
-    for walk in corpus.walks:
-        m = len(walk)
-        for i, center in enumerate(walk):
-            for j in range(max(0, i - window), min(m, i + window + 1)):
-                if j != i:
-                    pairs.append((center, walk[j]))
-    return pairs
+    tokens, lengths = _flatten(corpus.walks)
+    if min_count > 1:
+        keep = (np.bincount(tokens, minlength=corpus.num_nodes) >= min_count)[tokens]
+        walk_of = np.repeat(np.arange(len(lengths)), lengths)
+        lengths = np.bincount(walk_of[keep], minlength=len(lengths))
+        tokens = tokens[keep]
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(len(tokens)) - np.repeat(starts, lengths)  # index within its walk
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    target = pos[:, None] + offsets
+    valid = (target >= 0) & (target < np.repeat(lengths, lengths)[:, None])
+    rows, cols = np.nonzero(valid)  # row-major: corpus order
+    return np.column_stack([tokens[rows], tokens[rows + offsets[cols]]])
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +120,50 @@ def decode_prob(emb: EmbeddingMatrix, u: int, v: int) -> float:
 
 
 def nll_loss(emb: EmbeddingMatrix, pairs) -> float:
-    """Mean negative log-likelihood of the pairs under the softmax decoder."""
+    """Mean negative log-likelihood of the pairs under the softmax decoder.
+
+    pairs is an (m, 2) array, as context_pairs returns, or a sequence of
+    (center, context) tuples."""
     if not len(pairs):
         raise ValueError("no pairs to score")
-    centers = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-    contexts = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
+    centers, contexts = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     logp = _log_softmax_rows(emb.input_vectors, emb.output_vectors, centers)
-    return float(-logp[np.arange(len(pairs)), contexts].mean())
+    return float(-logp[np.arange(len(centers)), contexts].mean())
 
 
 def softmax_loss_grads(inp, out, centers, contexts):
     """Mean softmax NLL and its gradients w.r.t. both matrices."""
     m = len(centers)
-    scores = inp[centers] @ out.T
-    scores -= scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(scores).sum(axis=1, keepdims=True))
-    loss = float((logz[:, 0] - scores[np.arange(m), contexts]).mean())
-    grad_scores = np.exp(scores - logz) / m
+    logp = _log_softmax_rows(inp, out, centers)
+    loss = float(-logp[np.arange(m), contexts].mean())
+    grad_scores = np.exp(logp) / m
     grad_scores[np.arange(m), contexts] -= 1.0 / m
     d_inp = np.zeros_like(inp)
-    np.add.at(d_inp, centers, grad_scores @ out)
+    _scatter_add(d_inp, centers, grad_scores @ out)
     d_out = grad_scores.T @ inp[centers]
     return loss, d_inp, d_out
+
+
+def _sgns_terms(inp, out, centers, contexts, negatives):
+    """Summed negative-sampling loss and its per-pair gradients.
+
+    Returns (loss, rows, g_centers, g_rows): rows is the (m, k+1) matrix
+    of output rows each pair touches (context first, then negatives);
+    g_centers (m, d) and g_rows (m, k+1, d) are the loss gradients w.r.t.
+    inp[centers] and out[rows], neither scattered nor divided by m.
+    """
+    k = negatives.shape[1]
+    rows = np.concatenate([contexts[:, None], negatives], axis=1)
+    sign = np.full(k + 1, -1.0)
+    sign[0] = 1.0
+    w_in = inp[centers]
+    w_out = out[rows]
+    sig = _sigmoid(sign * (w_out @ w_in[:, :, None])[:, :, 0])
+    loss = float(-np.log(np.clip(sig, 1e-300, None)).sum())
+    coeff = -sign * (1.0 - sig)                # d loss / d score
+    g_centers = (coeff[:, None, :] @ w_out)[:, 0]
+    g_rows = np.einsum("mk,md->mkd", coeff, w_in)
+    return loss, rows, g_centers, g_rows
 
 
 def sgns_loss_grads(inp, out, centers, contexts, negatives):
@@ -130,23 +172,35 @@ def sgns_loss_grads(inp, out, centers, contexts, negatives):
     negatives has shape (len(centers), k). Loss per pair is
     -log sigmoid(s_pos) - sum_j log sigmoid(-s_neg_j).
     """
-    m, k = negatives.shape
-    rows = np.concatenate([contexts[:, None], negatives], axis=1)  # (m, k+1)
-    sign = np.full(k + 1, -1.0)
-    sign[0] = 1.0
-    scores = np.einsum("md,mkd->mk", inp[centers], out[rows])
-    sig = _sigmoid(sign * scores)
-    loss = float(-np.log(np.clip(sig, 1e-300, None)).sum() / m)
-    coeff = -sign * (1.0 - sig) / m            # d loss / d score
+    m = len(centers)
+    loss, rows, g_centers, g_rows = _sgns_terms(inp, out, centers, contexts, negatives)
     d_inp = np.zeros_like(inp)
-    np.add.at(d_inp, centers, np.einsum("mk,mkd->md", coeff, out[rows]))
+    _scatter_add(d_inp, centers, g_centers, 1.0 / m)
     d_out = np.zeros_like(out)
-    np.add.at(d_out, rows, coeff[:, :, None] * inp[centers][:, None, :])
-    return loss, d_inp, d_out
+    _scatter_add(d_out, rows.ravel(), g_rows.reshape(-1, out.shape[1]), 1.0 / m)
+    return loss / m, d_inp, d_out
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _scatter_add(mat, idx, vals, scale=1.0, max_hits=None):
+    """mat[idx] += scale * vals, summing the vals of repeated indices.
+
+    Same result as np.add.at up to summation order; one stable sort and
+    np.add.reduceat over the runs is several times faster. With max_hits,
+    a row repeated h > max_hits times takes max_hits / h of its sum.
+    """
+    order = np.argsort(idx, kind="stable")
+    idx = idx[order]
+    bounds = np.flatnonzero(np.concatenate([[True], idx[1:] != idx[:-1], [True]]))
+    starts = bounds[:-1]
+    sums = np.add.reduceat(vals[order], starts, axis=0)
+    sums *= scale
+    if max_hits is not None:
+        sums *= np.minimum(1.0, max_hits / (bounds[1:] - starts))[:, None]
+    mat[idx[starts]] += sums
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +208,14 @@ def _sigmoid(x):
 # ---------------------------------------------------------------------------
 
 def _node_frequencies(corpus: WalkCorpus) -> np.ndarray:
-    freq = np.zeros(corpus.num_nodes, dtype=np.int64)
-    for walk in corpus.walks:
-        for u in walk:
-            freq[u] += 1
-    return freq
+    return np.bincount(_flatten(corpus.walks)[0], minlength=corpus.num_nodes)
 
 
 def _noise_cdf(freq: np.ndarray) -> np.ndarray:
-    weights = freq.astype(np.float64) ** 0.75
-    total = weights.sum()
-    if total <= 0:
+    cdf = np.cumsum(freq.astype(np.float64) ** 0.75)
+    if cdf[-1] <= 0:
         raise ConfigError("corpus has no usable nodes for negative sampling")
-    return np.cumsum(weights / total)
+    return cdf / cdf[-1]  # ends at exactly 1.0, so every draw in [0, 1) lands on a node
 
 
 def _init_matrices(num_nodes, dim, rng):
@@ -175,54 +224,44 @@ def _init_matrices(num_nodes, dim, rng):
     return inp, out
 
 
-def _sgd(inp, out, pairs, cfg: SkipGramConfig, noise_cdf):
-    """In-place skip-gram SGD; pair order is the corpus order each epoch."""
+# Most summed updates one row takes in one step. One center occurrence at
+# the default window of 5 gives its row 10 updates, which stay whole.
+_ROW_HITS = 10
+
+
+def _minibatch_sgd(inp, out, pairs, cfg: SkipGramConfig, noise_cdf, rng):
+    """In-place skip-gram training on consecutive minibatches of the pairs.
+
+    Each epoch walks the pairs in corpus order. A batch of m pairs takes one
+    step of lr * m times the batch-mean gradients of sgns_loss_grads (or
+    softmax_loss_grads when negatives == 0), all taken at the pre-step
+    matrices, which matches m serial SGD steps to first order. lr decays
+    linearly with the number of pairs already trained on.
+
+    A summed step moves a row once per hit, and the first-order match fails
+    when one row takes many hits: a hub that is the context or a negative
+    of hundreds of pairs in one batch diverges. So a row hit h > _ROW_HITS
+    times in a batch takes _ROW_HITS / h of its summed SGNS gradient. A
+    batch is the vocabulary size clipped to [16, 1024] pairs, which keeps
+    most rows of a small vocabulary under the cap.
+    """
     total = cfg.epochs * len(pairs)
-    if total == 0:
-        return
-    lr0 = cfg.learning_rate
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
-    k = cfg.negatives
+    batch = int(np.clip(inp.shape[0], 16, 1024))
     t = 0
     for _ in range(cfg.epochs):
-        for u, v in pairs:
-            lr = lr0 * max(1e-4, 1.0 - t / total)
-            t += 1
-            l1 = inp[u]
-            if k == 0:
-                scores = out @ l1
-                scores -= scores.max()
-                probs = np.exp(scores)
-                probs /= probs.sum()
-                # d nll / d out = outer(probs - onehot(v), l1)
-                gout = probs
-                gout[v] -= 1.0
-                neu1e = gout @ out
-                out -= lr * gout[:, None] * l1
-                inp[u] = l1 - lr * neu1e
+        for lo in range(0, len(pairs), batch):
+            centers, contexts = pairs[lo:lo + batch].T
+            lr = cfg.learning_rate * max(1e-4, 1.0 - t / total)
+            t += len(centers)
+            if cfg.negatives:
+                negs = np.searchsorted(noise_cdf, rng.random((len(centers), cfg.negatives)))
+                _, rows, g_centers, g_rows = _sgns_terms(inp, out, centers, contexts, negs)
+                _scatter_add(inp, centers, g_centers, -lr, _ROW_HITS)
+                _scatter_add(out, rows.ravel(), g_rows.reshape(-1, out.shape[1]), -lr, _ROW_HITS)
             else:
-                negs = np.searchsorted(noise_cdf, rng.random(k))
-                np.clip(negs, None, len(noise_cdf) - 1, out=negs)
-                rows = [v] + [x for x in negs if x != v]
-                targets = out[rows]
-                sign = np.full(len(rows), -1.0)
-                sign[0] = 1.0
-                sig = _sigmoid(sign * (targets @ l1))
-                coeff = -sign * (1.0 - sig)
-                neu1e = coeff @ targets
-                np.add.at(out, rows, (-lr * coeff)[:, None] * l1)
-                inp[u] = l1 - lr * neu1e
-
-
-def _trainable_pairs(corpus: WalkCorpus, cfg: SkipGramConfig):
-    if cfg.min_count > 1:
-        freq = _node_frequencies(corpus)
-        keep = freq >= cfg.min_count
-        walks = [tuple(u for u in w if keep[u]) for w in corpus.walks]
-        filtered = WalkCorpus(walks, corpus.graph_version, corpus.n, corpus.l,
-                              corpus.mode, corpus.num_nodes)
-        return context_pairs(filtered, cfg.window)
-    return context_pairs(corpus, cfg.window)
+                _, d_inp, d_out = softmax_loss_grads(inp, out, centers, contexts)
+                inp -= lr * len(centers) * d_inp
+                out -= lr * len(centers) * d_out
 
 
 def train(corpus: WalkCorpus, cfg: SkipGramConfig,
@@ -257,11 +296,12 @@ def warm_retrain(prev: EmbeddingMatrix, corpus_next: WalkCorpus,
 
 
 def _run_training(inp, out, corpus, cfg):
-    pairs = _trainable_pairs(corpus, cfg)
-    if not pairs:
+    pairs = context_pairs(corpus, cfg.window, cfg.min_count)
+    if not len(pairs):
         return
     noise_cdf = _noise_cdf(_node_frequencies(corpus)) if cfg.negatives else None
-    _sgd(inp, out, pairs, cfg, noise_cdf)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
+    _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,14 @@ from walkforge import (
     train,
     warm_retrain,
 )
-from walkforge.embedding import sgns_loss_grads, softmax_loss_grads
-from walkforge.synth import sbm_stream
+from walkforge.embedding import (
+    _ROW_HITS,
+    _minibatch_sgd,
+    _noise_cdf,
+    sgns_loss_grads,
+    softmax_loss_grads,
+)
+from walkforge.synth import preferential_attachment_stream, sbm_stream
 from walkforge.walks import WalkCorpus
 from conftest import rows_from_edges
 
@@ -36,11 +42,11 @@ def corpus_of(walks, num_nodes, l=5):
 
 def test_context_pairs_window_one():
     c = corpus_of([(0, 1, 2)], 3)
-    assert context_pairs(c, 1) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert context_pairs(c, 1).tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
 
 
 def test_context_pairs_skip_stubs():
-    assert context_pairs(corpus_of([(4,)], 5), 3) == []
+    assert context_pairs(corpus_of([(4,)], 5), 3).tolist() == []
 
 
 def test_context_pairs_match_double_loop_oracle():
@@ -55,7 +61,36 @@ def test_context_pairs_match_double_loop_oracle():
             for j in range(len(w)):
                 if i != j and abs(i - j) <= window:
                     oracle.append((w[i], w[j]))
-    assert sorted(context_pairs(c, window)) == sorted(oracle)
+    assert sorted(map(tuple, context_pairs(c, window).tolist())) == sorted(oracle)
+
+
+def corpus_order_oracle(walks, window, min_count=1):
+    """Nested loops over the walks after dropping rare nodes."""
+    freq = {}
+    for w in walks:
+        for u in w:
+            freq[u] = freq.get(u, 0) + 1
+    pairs = []
+    for w in walks:
+        w = [u for u in w if freq[u] >= min_count]
+        for i in range(len(w)):
+            for j in range(max(0, i - window), min(len(w), i + window + 1)):
+                if j != i:
+                    pairs.append([w[i], w[j]])
+    return pairs
+
+
+@pytest.mark.parametrize("window,min_count", [(1, 1), (3, 1), (2, 2), (4, 3)])
+def test_context_pairs_corpus_order_matches_loop_oracle(window, min_count):
+    rng = np.random.default_rng(window * 10 + min_count)
+    walks = [tuple(int(x) for x in rng.integers(0, 20, size=rng.integers(1, 8)))
+             for _ in range(100)]
+    # length-1 walks give no pairs; 20 and 21 occur once and 22 twice, so
+    # min_count closes the gap in (3, 20, 21, 4) and can empty a walk
+    walks += [(5,), (19,), (3, 20, 21, 4), (22, 7), (22,)]
+    pairs = context_pairs(corpus_of(walks, 23), window, min_count)
+    assert pairs.dtype == np.intp and pairs.shape[1] == 2
+    assert pairs.tolist() == corpus_order_oracle(walks, window, min_count)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +123,7 @@ def test_nll_loss_uniform_is_log_vocab():
     emb = EmbeddingMatrix(np.zeros((4, 2)), np.zeros((4, 2)))
     pairs = [(0, 1), (2, 3), (1, 0)]
     assert nll_loss(emb, pairs) == pytest.approx(math.log(4))
+    assert nll_loss(emb, np.array(pairs)) == pytest.approx(math.log(4))
 
 
 def test_nll_loss_order_invariant():
@@ -97,6 +133,7 @@ def test_nll_loss_order_invariant():
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     assert nll_loss(emb, pairs) == pytest.approx(nll_loss(emb, shuffled))
+    assert nll_loss(emb, np.array(pairs)) == nll_loss(emb, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +179,57 @@ def test_sgns_gradients_match_finite_differences():
     err = finite_difference_worst_error(
         lambda i, o: sgns_loss_grads(i, o, centers, contexts, negatives), inp, out)
     assert err <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one trainer step is one step along the checked gradients
+# ---------------------------------------------------------------------------
+
+def one_batch_problem(seed):
+    """12 pairs over 20 nodes: a single batch, since the batch is >= 16."""
+    rng = np.random.default_rng(seed)
+    inp = rng.normal(scale=0.3, size=(20, 4))
+    out = rng.normal(scale=0.3, size=(20, 4))
+    pairs = rng.integers(20, size=(12, 2))
+    return inp, out, pairs
+
+
+def test_trainer_step_is_sgns_gradient_step():
+    inp, out, pairs = one_batch_problem(5)
+    cfg = SkipGramConfig(dim=4, learning_rate=0.1, epochs=1, negatives=3)
+    noise_cdf = _noise_cdf(np.arange(1, 21))
+    # the trainer's draw, from the same stream
+    negatives = np.searchsorted(noise_cdf, np.random.default_rng(6).random((12, 3)))
+    assert np.bincount(np.concatenate([pairs.ravel(), negatives.ravel()])).max() <= _ROW_HITS
+    _, d_inp, d_out = sgns_loss_grads(inp, out, pairs[:, 0], pairs[:, 1], negatives)
+    want_inp = inp - 0.1 * 12 * d_inp
+    want_out = out - 0.1 * 12 * d_out
+    _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, np.random.default_rng(6))
+    assert np.allclose(inp, want_inp, rtol=0, atol=1e-12)
+    assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+
+
+def test_trainer_step_caps_row_hits():
+    inp, out, pairs = one_batch_problem(9)
+    pairs[:, 0] = 0  # input row 0 is hit 12 times, above the cap
+    cfg = SkipGramConfig(dim=4, learning_rate=0.1, epochs=1, negatives=3)
+    noise_cdf = _noise_cdf(np.arange(1, 21))
+    negatives = np.searchsorted(noise_cdf, np.random.default_rng(6).random((12, 3)))
+    _, d_inp, _ = sgns_loss_grads(inp, out, pairs[:, 0], pairs[:, 1], negatives)
+    want = inp - 0.1 * 12 * d_inp * (_ROW_HITS / 12)
+    _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, np.random.default_rng(6))
+    assert np.allclose(inp, want, rtol=0, atol=1e-12)
+
+
+def test_trainer_step_is_softmax_gradient_step():
+    inp, out, pairs = one_batch_problem(7)
+    cfg = SkipGramConfig(dim=4, learning_rate=0.1, epochs=1, negatives=0)
+    _, d_inp, d_out = softmax_loss_grads(inp, out, pairs[:, 0], pairs[:, 1])
+    want_inp = inp - 0.1 * 12 * d_inp
+    want_out = out - 0.1 * 12 * d_out
+    _minibatch_sgd(inp, out, pairs, cfg, None, np.random.default_rng(8))
+    assert np.allclose(inp, want_inp, rtol=0, atol=1e-12)
+    assert np.allclose(out, want_out, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +290,19 @@ def test_training_output_is_finite():
                                        epochs=10, negatives=5, seed=2))
     assert np.isfinite(emb.input_vectors).all()
     assert np.isfinite(emb.output_vectors).all()
+
+
+def test_hub_heavy_training_is_stable():
+    # the merchant core of a preferential-attachment stream is the context
+    # or a negative of most pairs; uncapped summed steps diverge here
+    g = ingest_edges(preferential_attachment_stream(200, seed=3))
+    corpus = generate_corpus(g, WalkConfig(num_walks=5, walk_length=10, seed=3), "uniform")
+    pairs = context_pairs(corpus, 5)
+    before = train(corpus, SkipGramConfig(epochs=0))
+    after = train(corpus, SkipGramConfig())
+    assert np.isfinite(after.input_vectors).all()
+    assert np.isfinite(after.output_vectors).all()
+    assert nll_loss(after, pairs) < nll_loss(before, pairs) - 0.5
 
 
 def test_sbm_block_recovery_ari():
@@ -321,9 +422,7 @@ def test_import_header_mismatch(tmp_path):
 def test_min_count_drops_rare_nodes_from_pairs():
     walks = [(0, 1, 0, 1), (0, 1), (2,)] * 2 + [(3, 0)]
     c = corpus_of(walks, 4)
-    cfg = SkipGramConfig(dim=4, window=2, min_count=2, seed=0)
-    from walkforge.embedding import _trainable_pairs
-    pairs = _trainable_pairs(c, cfg)
-    used = {u for p in pairs for u in p}
+    pairs = context_pairs(c, 2, min_count=2)
+    used = set(pairs.ravel().tolist())
     assert 3 not in used  # appears once, below min_count
     assert {0, 1} <= used
