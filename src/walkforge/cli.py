@@ -249,7 +249,7 @@ def cmd_update(args) -> int:
     mode = s.get("mode", corpus.mode)
     cfg = _walk_config(s, n_default=corpus.n, l_default=corpus.l)
     delta = diff_graphs(g_prev, g_next)
-    plan = plan_update(corpus, delta)
+    plan = plan_update(corpus, delta, g_next)
     counter = DrawCounter()
     t0 = time.perf_counter()
     if args.strategy == "scratch":
@@ -257,12 +257,13 @@ def cmd_update(args) -> int:
     elif args.strategy == "naive":
         updated = naive_update(corpus, g_next, delta, cfg, mode, counter=counter)
     else:
-        updated = unbiased_update(corpus, g_next, delta, cfg, mode, counter=counter)
+        updated = unbiased_update(corpus, g_next, delta, cfg, mode,
+                                  counter=counter, plan=plan)
     report = {
         "strategy": args.strategy,
         "graph_version": g_next.version,
         "new_nodes": len(delta.new_nodes),
-        "affected_nodes": len(delta.affected_nodes),
+        "affected_nodes": len(plan.affected_nodes),
         "affected_walks": len(plan.affected_walks),
         "candidate_draws": counter.draws,
         "corpus_walks": len(updated),

@@ -335,9 +335,10 @@ def apply_batch(g: TransactionGraph, records,
     """Append a batch of rows, returning (new graph version, delta).
 
     Timestamps must not predate data already in the graph. A batch row for
-    an already-present edge accumulates weight/count; both endpoints of any
-    batch edge count as affected because the transition probabilities that
-    depend on their stats change.
+    an already-present edge accumulates weight/count. The delta names every
+    existing endpoint of a batch edge in `affected_nodes`, since either
+    one's stats may change; `incremental.plan_update` narrows that set to
+    the nodes whose transition law changed in the corpus's walk mode.
     """
     b = _Builder(g)
     prev_n = g.num_nodes

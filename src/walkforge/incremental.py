@@ -8,6 +8,14 @@ Three strategies over the same interface:
 * naive: only generate walks for new nodes; stale walks are kept.
 * scratch: regenerate the whole corpus (the equivalence baseline).
 
+The graph delta names every existing endpoint of a batch edge;
+`plan_update` narrows that per walk mode to the nodes whose one-step law
+may have changed. In uniform mode that is exact: a node's law is
+1/out-degree over its out-neighbours, so only old nodes that gained an
+out-neighbour count. Destinations and weight-only repeats do not. MH mode
+keeps every touched endpoint, which still misses nodes whose leap
+frontier or acceptance changed through edges further away.
+
 The resumed suffix of a trimmed walk is drawn by the same sampler that
 made the corpus, so its conditional distribution matches a fresh walk
 started at the resume point on the new graph; that is what keeps the
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 from .errors import ModeMismatchError, StateMismatchError, VersionMismatchError
 from .graph import GraphDelta, TransactionGraph
 from .walks import (
+    MODE_UNIFORM,
     WalkConfig,
     WalkCorpus,
     build_node_index,
@@ -47,17 +56,28 @@ class UpdatePlan:
     affected_nodes: frozenset
 
 
-def plan_update(corpus: WalkCorpus, delta: GraphDelta) -> UpdatePlan:
-    """Resolve the delta against the corpus via the node index only."""
-    if corpus.graph_version != delta.src_version:
-        raise VersionMismatchError(
-            f"corpus is at graph version {corpus.graph_version}, "
-            f"delta starts at {delta.src_version}")
+def plan_update(corpus: WalkCorpus, delta: GraphDelta,
+                g_next: TransactionGraph) -> UpdatePlan:
+    """Resolve the delta against the corpus via the node index only.
+
+    A uniform corpus is affected at the old sources of structurally new
+    edges. A delta row is new iff its count is the edge's whole count in
+    g_next: every row has count >= 1, so an edge that existed before has
+    a larger total. An MH corpus is affected at every touched endpoint.
+    """
+    _check_versions(corpus, g_next, delta)
+    if corpus.mode == MODE_UNIFORM:
+        affected_nodes = frozenset(
+            e.src for e in delta.new_edges
+            if e.src not in delta.new_nodes
+            and g_next.edge(e.src, e.dst).count == e.count)
+    else:
+        affected_nodes = delta.affected_nodes
     affected_walks = set()
-    for u in delta.affected_nodes:
+    for u in affected_nodes:
         affected_walks |= corpus.walks_containing(u)
     return UpdatePlan(frozenset(affected_walks), delta.new_nodes,
-                      delta.affected_nodes)
+                      affected_nodes)
 
 
 def trim_walk(walk, affected_nodes) -> tuple:
@@ -72,6 +92,17 @@ def trim_walk(walk, affected_nodes) -> tuple:
     raise ValueError("walk contains no affected node")
 
 
+def _check_versions(corpus, g_next, delta):
+    if corpus.graph_version != delta.src_version:
+        raise VersionMismatchError(
+            f"corpus is at graph version {corpus.graph_version}, "
+            f"delta starts at {delta.src_version}")
+    if g_next.version != delta.dst_version:
+        raise VersionMismatchError(
+            f"graph is version {g_next.version} but delta targets "
+            f"{delta.dst_version}")
+
+
 def _check_update_args(corpus, g_next, delta, cfg, mode):
     if mode != corpus.mode:
         raise ModeMismatchError(
@@ -81,54 +112,35 @@ def _check_update_args(corpus, g_next, delta, cfg, mode):
         raise StateMismatchError(
             f"config (n={cfg.num_walks}, l={cfg.walk_length}) does not match "
             f"corpus (n={corpus.n}, l={corpus.l})")
-    if g_next.version != delta.dst_version:
-        raise VersionMismatchError(
-            f"graph is version {g_next.version} but delta targets "
-            f"{delta.dst_version}")
-
-
-def _replace_walk(corpus: WalkCorpus, i: int, new_walk: tuple):
-    old_nodes = set(corpus.walks[i])
-    new_nodes = set(new_walk)
-    for u in old_nodes - new_nodes:
-        entry = corpus.node_index[u]
-        entry.discard(i)
-        if not entry:
-            del corpus.node_index[u]
-    for u in new_nodes - old_nodes:
-        corpus.node_index.setdefault(u, set()).add(i)
-    corpus.walks[i] = new_walk
-
-
-def _append_walk(corpus: WalkCorpus, walk: tuple):
-    i = len(corpus.walks)
-    corpus.walks.append(walk)
-    for u in set(walk):
-        corpus.node_index.setdefault(u, set()).add(i)
+    _check_versions(corpus, g_next, delta)
 
 
 def unbiased_update(corpus: WalkCorpus, g_next: TransactionGraph,
                     delta: GraphDelta, cfg: WalkConfig, mode: str,
                     counter: DrawCounter | None = None,
-                    check_index: bool = False) -> WalkCorpus:
+                    check_index: bool = False,
+                    plan: UpdatePlan | None = None) -> WalkCorpus:
     """Trim-and-resume update; returns a new corpus at g_next's version.
 
     Walks without affected nodes are carried over untouched (same tuple
     objects). Resampling uses per-walk-index substreams keyed by the new
     graph version, so the result is reproducible regardless of order.
+    `plan`, if given, must be plan_update(corpus, delta, g_next); a caller
+    that reports on the plan passes it so that it is computed once.
     """
     _check_update_args(corpus, g_next, delta, cfg, mode)
-    plan = plan_update(corpus, delta)
+    if plan is None:
+        plan = plan_update(corpus, delta, g_next)
     out = corpus.copy()
     sampler = make_sampler(g_next, cfg, mode)
     for wi in sorted(plan.affected_walks):
         prefix = trim_walk(corpus.walks[wi], plan.affected_nodes)
         rng = resume_rng(cfg, g_next.version, wi)
-        _replace_walk(out, wi, tuple(sampler.extend(list(prefix), rng)))
+        out.replace_walk(wi, tuple(sampler.extend(list(prefix), rng)))
     for u in sorted(plan.new_nodes):
         for i in range(cfg.num_walks):
             rng = fresh_walk_rng(cfg, u, i)
-            _append_walk(out, tuple(sampler.extend([u], rng)))
+            out.append_walk(tuple(sampler.extend([u], rng)))
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:
@@ -148,7 +160,7 @@ def naive_update(corpus: WalkCorpus, g_next: TransactionGraph,
     for u in sorted(delta.new_nodes):
         for i in range(cfg.num_walks):
             rng = fresh_walk_rng(cfg, u, i)
-            _append_walk(out, tuple(sampler.extend([u], rng)))
+            out.append_walk(tuple(sampler.extend([u], rng)))
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:

@@ -343,7 +343,13 @@ def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
 # ---------------------------------------------------------------------------
 
 class WalkCorpus:
-    """A set of walks plus the inverted node -> walk-indices index."""
+    """A set of walks plus the inverted node -> walk-indices index.
+
+    Copies share the index's per-node sets copy-on-write: a corpus copies a
+    set the first time it writes to it, unless it already owns it. `copy`
+    clears the owned set of both sides, so a set reachable from two corpora
+    is never written in place.
+    """
 
     def __init__(self, walks, graph_version: int, n: int, l: int, mode: str,
                  num_nodes: int, node_index=None):
@@ -355,6 +361,7 @@ class WalkCorpus:
         self.mode = mode
         self.num_nodes = num_nodes
         self.node_index = build_node_index(walks) if node_index is None else node_index
+        self._owned = set()  # nodes whose index set no other corpus holds
 
     def __len__(self) -> int:
         return len(self.walks)
@@ -363,9 +370,39 @@ class WalkCorpus:
         return self.node_index.get(u, set())
 
     def copy(self) -> "WalkCorpus":
-        index = {u: set(ws) for u, ws in self.node_index.items()}
+        """O(#walks + #nodes): the walk list and the outer index dict are
+        copied, the per-node sets are shared until first written."""
+        self._owned = set()
         return WalkCorpus(list(self.walks), self.graph_version, self.n,
-                          self.l, self.mode, self.num_nodes, node_index=index)
+                          self.l, self.mode, self.num_nodes,
+                          node_index=dict(self.node_index))
+
+    def _writable(self, u: int) -> set:
+        entry = self.node_index.get(u)
+        if entry is None:
+            entry = self.node_index[u] = set()
+        elif u not in self._owned:
+            entry = self.node_index[u] = set(entry)
+        self._owned.add(u)
+        return entry
+
+    def replace_walk(self, i: int, new_walk: tuple):
+        old_nodes = set(self.walks[i])
+        new_nodes = set(new_walk)
+        for u in old_nodes - new_nodes:
+            entry = self._writable(u)
+            entry.discard(i)
+            if not entry:
+                del self.node_index[u]
+        for u in new_nodes - old_nodes:
+            self._writable(u).add(i)
+        self.walks[i] = new_walk
+
+    def append_walk(self, walk: tuple):
+        i = len(self.walks)
+        self.walks.append(walk)
+        for u in set(walk):
+            self._writable(u).add(i)
 
 
 def build_node_index(walks) -> dict:

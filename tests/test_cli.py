@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from walkforge import diff_graphs, load_corpus, load_graph, plan_update
 from walkforge.cli import main
 from walkforge.synth import sbm_stream
 from conftest import random_rows
@@ -153,6 +154,25 @@ def test_update_naive_keeps_old_lines(tmp_path, segment_pair, capsys):
     old_lines = corpus0.read_text().splitlines()[1:]
     new_lines = updated.read_text().splitlines()[1:]
     assert new_lines[:len(old_lines)] == old_lines
+
+
+def test_update_reports_mode_aware_plan(tmp_path, segment_pair, capsys):
+    g0, g1 = segment_pair
+    corpus0 = tmp_path / "c0.wfw"
+    main(["walk", str(g0), "--mode", "uniform", "--n", "2", "--seed", "3",
+          "--out", str(corpus0)])
+    capsys.readouterr()
+    assert main(["update", "--corpus", str(corpus0), "--graph-prev", str(g0),
+                 "--graph-next", str(g1), "--n", "2", "--seed", "3",
+                 "--out", str(tmp_path / "c1.wfw")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    g_next = load_graph(g1)
+    delta = diff_graphs(load_graph(g0), g_next)
+    plan = plan_update(load_corpus(corpus0), delta, g_next)
+    # uniform: only sources of new edges, not every touched endpoint
+    assert report["affected_nodes"] == len(plan.affected_nodes) \
+        < len(delta.affected_nodes)
+    assert report["affected_walks"] == len(plan.affected_walks)
 
 
 def test_update_rejects_wrong_predecessor(tmp_path, segment_pair):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.stats import chisquare
 
 from walkforge import (
     DrawCounter,
@@ -8,6 +12,7 @@ from walkforge import (
     VersionMismatchError,
     WalkConfig,
     apply_batch,
+    diff_graphs,
     from_scratch,
     generate_corpus,
     ingest_edges,
@@ -16,6 +21,7 @@ from walkforge import (
     trim_walk,
     unbiased_update,
 )
+from walkforge.walks import build_node_index
 from conftest import random_rows, rows_from_edges
 
 
@@ -29,6 +35,26 @@ def build_pair(seed=0, nodes=30, edges=100):
     return g, g2, delta
 
 
+def uniform_law_changed(g, g2) -> set:
+    """Old nodes whose row of the 1/out-degree matrix differs between the
+    versions (a sink's row is all zeros)."""
+    n = g2.num_nodes
+
+    def matrix(graph):
+        adj = np.zeros((n, n))
+        for e in graph.edges():
+            adj[e.src, e.dst] = 1.0
+        deg = adj.sum(axis=1, keepdims=True)
+        return np.divide(adj, deg, out=np.zeros_like(adj), where=deg > 0)
+
+    differs = (matrix(g) != matrix(g2)).any(axis=1)
+    return {u for u in g.nodes() if differs[u]}
+
+
+def walks_through(corpus, nodes) -> set:
+    return {i for i, w in enumerate(corpus.walks) if set(w) & set(nodes)}
+
+
 # ---------------------------------------------------------------------------
 # planning and trimming
 # ---------------------------------------------------------------------------
@@ -37,7 +63,7 @@ def test_plan_empty_delta():
     g = ingest_edges([("a", "b", 1.0, 0)])
     corpus = generate_corpus(g, WalkConfig(num_walks=1, walk_length=3), "uniform")
     g2, delta = apply_batch(g, [])
-    plan = plan_update(corpus, delta)
+    plan = plan_update(corpus, delta, g2)
     assert not plan.affected_walks and not plan.new_nodes
 
 
@@ -45,19 +71,21 @@ def test_plan_uses_node_index():
     g = ingest_edges(rows_from_edges([(0, 1), (1, 2), (2, 0), (3, 1)]))
     corpus = generate_corpus(g, WalkConfig(num_walks=1, walk_length=4, seed=0), "uniform")
     g2, delta = apply_batch(g, [("n1", "n3", 1.0, 9_000)])
-    plan = plan_update(corpus, delta)
-    expected = {i for i, w in enumerate(corpus.walks)
-                if set(w) & set(delta.affected_nodes)}
-    assert plan.affected_walks == expected
+    plan = plan_update(corpus, delta, g2)
+    assert plan.affected_nodes == uniform_law_changed(g, g2) == {g.id_of("n1")}
+    assert plan.affected_walks == walks_through(corpus, plan.affected_nodes)
 
 
 def test_plan_version_mismatch():
     g = ingest_edges([("a", "b", 1.0, 0)])
     corpus = generate_corpus(g, WalkConfig(num_walks=1), "uniform")
     g2, _ = apply_batch(g, [("b", "c", 1.0, 5)])
-    _, delta2 = apply_batch(g2, [("c", "d", 1.0, 6)])
+    g3, delta2 = apply_batch(g2, [("c", "d", 1.0, 6)])
     with pytest.raises(VersionMismatchError):
-        plan_update(corpus, delta2)
+        plan_update(corpus, delta2, g3)
+    _, delta1 = apply_batch(g, [("b", "c", 1.0, 5)])
+    with pytest.raises(VersionMismatchError):
+        plan_update(corpus, delta1, g3)
 
 
 def test_plan_matches_full_scan_oracle():
@@ -66,10 +94,49 @@ def test_plan_matches_full_scan_oracle():
     corpus = generate_corpus(g, WalkConfig(num_walks=2, walk_length=5, seed=4), "uniform")
     batch = [(f"n{i}", f"n{(i * 7) % 210}", 1.0, 90_000 + i) for i in range(25)]
     g2, delta = apply_batch(g, batch)
-    plan = plan_update(corpus, delta)
-    scan = {i for i, w in enumerate(corpus.walks)
-            if any(u in delta.affected_nodes for u in w)}
-    assert plan.affected_walks == scan
+    plan = plan_update(corpus, delta, g2)
+    assert plan.affected_nodes == uniform_law_changed(g, g2)
+    assert plan.affected_walks == walks_through(corpus, uniform_law_changed(g, g2))
+
+
+@st.composite
+def graph_and_batch(draw):
+    """An old edge list on nodes 0..7 and a batch mixing every kind of
+    row: fresh edges (new nodes are 8..10), self-loops, weight-only
+    repeats of old edges and edges out of old sinks."""
+    node = st.integers(0, 7)
+    base = draw(st.lists(st.tuples(node, node), min_size=1, max_size=20))
+    present = sorted({u for e in base for u in e})
+    sources = {u for u, _ in base}
+    sinks = [u for u in present if u not in sources]
+    any_node = st.integers(0, 10)
+    batch = draw(st.lists(st.tuples(any_node, any_node), max_size=8))
+    batch += draw(st.lists(st.sampled_from(present).map(lambda u: (u, u)),
+                           max_size=2))
+    batch += draw(st.lists(st.sampled_from(base), max_size=3))
+    if sinks:
+        batch += draw(st.lists(st.tuples(st.sampled_from(sinks), any_node),
+                               max_size=2))
+    return base, draw(st.permutations(batch))
+
+
+@given(graph_and_batch())
+def test_uniform_plan_is_exactly_the_changed_laws(case):
+    base, batch = case
+    g = ingest_edges(rows_from_edges(base))
+    g2, delta = apply_batch(g, [(f"n{u}", f"n{v}", 1.0, 10_000 + i)
+                                for i, (u, v) in enumerate(batch)])
+    changed = uniform_law_changed(g, g2)
+    cfg = WalkConfig(num_walks=2, walk_length=4, seed=1)
+    uniform = generate_corpus(g, cfg, "uniform")
+    for d in (delta, diff_graphs(g, g2)):
+        plan = plan_update(uniform, d, g2)
+        assert plan.affected_nodes == changed
+        assert plan.affected_walks == walks_through(uniform, changed)
+        assert plan.new_nodes == delta.new_nodes
+    # MH keeps every touched endpoint
+    mh = generate_corpus(g, cfg, "mh")
+    assert plan_update(mh, delta, g2).affected_nodes == delta.affected_nodes
 
 
 def test_trim_walk_cases():
@@ -109,7 +176,7 @@ def test_unbiased_preserves_untouched_walks_identically():
     g, g2, delta = build_pair(seed=5)
     cfg = WalkConfig(num_walks=2, walk_length=5, seed=2)
     corpus = generate_corpus(g, cfg, "uniform")
-    plan = plan_update(corpus, delta)
+    plan = plan_update(corpus, delta, g2)
     updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
     for i, walk in enumerate(corpus.walks):
         if i not in plan.affected_walks:
@@ -120,11 +187,11 @@ def test_unbiased_prefix_preservation_and_cardinality():
     g, g2, delta = build_pair(seed=6)
     cfg = WalkConfig(num_walks=2, walk_length=5, seed=3)
     corpus = generate_corpus(g, cfg, "uniform")
-    plan = plan_update(corpus, delta)
+    plan = plan_update(corpus, delta, g2)
     updated = unbiased_update(corpus, g2, delta, cfg, "uniform", check_index=True)
     assert len(updated) == len(corpus) + cfg.num_walks * len(delta.new_nodes)
     for i in plan.affected_walks:
-        prefix = trim_walk(corpus.walks[i], delta.affected_nodes)
+        prefix = trim_walk(corpus.walks[i], plan.affected_nodes)
         assert updated.walks[i][:len(prefix)] == prefix
 
 
@@ -132,7 +199,7 @@ def test_unbiased_work_bound():
     g, g2, delta = build_pair(seed=7, nodes=60, edges=240)
     cfg = WalkConfig(num_walks=3, walk_length=5, seed=4)
     corpus = generate_corpus(g, cfg, "uniform")
-    plan = plan_update(corpus, delta)
+    plan = plan_update(corpus, delta, g2)
     counter = DrawCounter()
     unbiased_update(corpus, g2, delta, cfg, "uniform", counter=counter)
     bound = (len(plan.affected_walks) + cfg.num_walks * len(delta.new_nodes)) \
@@ -162,6 +229,48 @@ def test_unbiased_update_works_in_mh_mode():
     for walk in updated.walks:
         for a, b in zip(walk, walk[1:]):
             assert g2.shortest_hop(a, b, cap=2) == 2 or g.shortest_hop(a, b, cap=2) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "MH plan marks only batch endpoints: adding b->e widens a's 2-hop "
+    "frontier to {c, d, e}, but leap walks from a never contain b, so none "
+    "is resampled and e gets 0 first steps from a"))
+def test_mh_update_first_steps_match_new_frontier():
+    g = ingest_edges([("a", "b", 1.0, 0), ("b", "c", 1.0, 1), ("b", "d", 1.0, 2),
+                      ("c", "a", 1.0, 3), ("d", "a", 1.0, 4)])
+    cfg = WalkConfig(num_walks=3000, walk_length=2, hop=2, alpha_min=1.0, seed=13)
+    corpus = generate_corpus(g, cfg, "mh")
+    g2, delta = apply_batch(g, [("b", "e", 1.0, 5)])
+    updated = unbiased_update(corpus, g2, delta, cfg, "mh")
+    a = g2.id_of("a")
+    frontier = sorted(g2.h_hop_frontier(a, 2))
+    assert len(frontier) == 3
+    # alpha_min = 1 accepts every proposal, so first steps are uniform
+    first = Counter(w[1] for w in updated.walks if w[0] == a)
+    assert chisquare([first[v] for v in frontier]).pvalue > 0.01
+
+
+def test_copy_on_write_keeps_parent_and_siblings_apart():
+    g = ingest_edges(random_rows(40, 150, seed=14))
+    cfg = WalkConfig(num_walks=3, walk_length=5, seed=12)
+    parent = generate_corpus(g, cfg, "uniform")
+    walks_before = list(parent.walks)
+    g_a, delta_a = apply_batch(g, [("n1", "n50", 1.0, 90_000),
+                                   ("n2", "n3", 1.0, 90_001)])
+    g_b, delta_b = apply_batch(g, [("n4", "n51", 1.0, 90_000),
+                                   ("n5", "n6", 1.0, 90_001),
+                                   ("n52", "n7", 1.0, 90_002)])
+    assert plan_update(parent, delta_a, g_a).affected_walks
+    assert plan_update(parent, delta_b, g_b).affected_walks
+    child_a = unbiased_update(parent, g_a, delta_a, cfg, "uniform", check_index=True)
+    child_b = unbiased_update(parent, g_b, delta_b, cfg, "uniform", check_index=True)
+    naive = naive_update(parent, g_a, delta_a, cfg, "uniform")
+    g_c, delta_c = apply_batch(g_a, [("n8", "n53", 1.0, 90_010)])
+    unbiased_update(child_a, g_c, delta_c, cfg, "uniform", check_index=True)
+    for c in (child_a, child_b, naive):
+        assert c.node_index == build_node_index(c.walks)
+    assert parent.walks == walks_before
+    assert parent.node_index == build_node_index(parent.walks)
 
 
 # ---------------------------------------------------------------------------
