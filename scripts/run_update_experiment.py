@@ -17,7 +17,7 @@ import time
 from walkforge import WalkConfig, apply_batch, generate_corpus, ingest_edges, read_edge_csv
 from walkforge.evaluation import delta_mae, empirical_transitions, theoretical_transitions
 from walkforge.graph import segment_sizes
-from walkforge.incremental import DrawCounter, from_scratch, naive_update, unbiased_update
+from walkforge.incremental import DrawCounter, naive_update, unbiased_update
 from walkforge.synth import preferential_attachment_stream
 
 
@@ -55,7 +55,7 @@ def main():
         unbiased = unbiased_update(unbiased, g_next, delta, cfg, "uniform",
                                    counter=work_upd)
         naive = naive_update(naive, g_next, delta, cfg, "uniform")
-        scratch = from_scratch(g_next, cfg, "uniform", counter=work_scr)
+        scratch = generate_corpus(g_next, cfg, "uniform", counter=work_scr)
         records.append({
             "rows": hi,
             "scratch": mae(scratch, g_next),

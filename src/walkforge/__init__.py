@@ -38,15 +38,12 @@ from .walks import (
     load_corpus,
     mean_defacto_length,
     mh_acceptance,
-    mh_walk,
     resume_walk,
     save_corpus,
-    uniform_walk,
 )
 from .incremental import (
     DrawCounter,
     UpdatePlan,
-    from_scratch,
     naive_update,
     plan_update,
     trim_walk,

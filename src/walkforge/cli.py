@@ -24,12 +24,12 @@ from . import __version__
 from .errors import ConfigError, InputError, ParseError, StateMismatchError, WalkforgeError
 from .graph import (
     STAT_KINDS,
-    apply_batch,
     diff_graphs,
     ingest_edges,
     load_graph,
     read_edge_csv,
     save_graph,
+    segment_schedule,
     segment_sizes,
 )
 from .incremental import DrawCounter, naive_update, plan_update, unbiased_update
@@ -79,18 +79,18 @@ class _Settings:
         return default
 
 
-def _walk_config(s: _Settings, n_default=10, l_default=5) -> WalkConfig:
+def _walk_config(s: _Settings, d: WalkConfig = WalkConfig()) -> WalkConfig:
     return WalkConfig(
-        num_walks=s.get("n", n_default, int),
-        walk_length=s.get("l", l_default, int),
-        hop=s.get("h", 2, int),
-        alpha_min=s.get("alpha-min", 0.5, float),
-        target_stat=s.get("p", "V_in"),
-        proposal=s.get("q", "S"),
-        decay=s.get("lambda", 0.5, float),
-        nominal_return=s.get("nominal-return", 0.1, float),
-        stat_smoothing=s.get("smoothing", 1.0, float),
-        seed=s.get("seed", 0, int),
+        num_walks=s.get("n", d.num_walks, int),
+        walk_length=s.get("l", d.walk_length, int),
+        hop=s.get("h", d.hop, int),
+        alpha_min=s.get("alpha-min", d.alpha_min, float),
+        target_stat=s.get("p", d.target_stat),
+        proposal=s.get("q", d.proposal),
+        decay=s.get("lambda", d.decay, float),
+        nominal_return=s.get("nominal-return", d.nominal_return, float),
+        stat_smoothing=s.get("smoothing", d.stat_smoothing, float),
+        seed=s.get("seed", d.seed, int),
     )
 
 
@@ -197,17 +197,12 @@ def cmd_segment(args) -> int:
     initial = s.get("initial", 0.5, float)
     step = s.get("step", 0.05, float)
     rows = read_edge_csv(args.edges)
-    rows.sort(key=lambda r: int(r[3]))
     sizes = segment_sizes(len(rows), initial, step)
+    graphs = segment_schedule(rows, initial, step)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"source": str(args.edges), "initial_frac": initial,
                 "step_frac": step, "segments": []}
     with _workdir_lock(args.outdir):
-        g = ingest_edges(rows[:sizes[0]])
-        graphs = [g]
-        for lo, hi in zip(sizes, sizes[1:]):
-            g, _ = apply_batch(g, rows[lo:hi])
-            graphs.append(g)
         for g, size in zip(graphs, sizes):
             name = f"segment_{g.version:03d}.wfg"
             _atomic_write(os.path.join(args.outdir, name),
@@ -228,9 +223,8 @@ def cmd_walk(args) -> int:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cfg = _walk_config(s)
-    threads = 1 if args.strict_deterministic else s.get("threads", 1, int)
     g = load_graph(args.graph)
-    corpus = generate_corpus(g, cfg, mode, threads=threads)
+    corpus = generate_corpus(g, cfg, mode)
     _atomic_write(args.out, lambda p: save_corpus(corpus, p))
     print(f"walks={len(corpus)} mode={mode} mean_length="
           f"{mean_defacto_length(corpus):.4f}")
@@ -247,7 +241,7 @@ def cmd_update(args) -> int:
             f"corpus is for graph version {corpus.graph_version}, "
             f"predecessor graph is version {g_prev.version}")
     mode = s.get("mode", corpus.mode)
-    cfg = _walk_config(s, n_default=corpus.n, l_default=corpus.l)
+    cfg = _walk_config(s, WalkConfig(num_walks=corpus.n, walk_length=corpus.l))
     delta = diff_graphs(g_prev, g_next)
     plan = plan_update(corpus, delta, g_next)
     counter = DrawCounter()
@@ -371,25 +365,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI file with per-command default sections")
         p.add_argument("--seed", type=int, help="rng seed (default 0)")
         p.add_argument("--strict-deterministic", action="store_true",
-                       help="serial execution; zeroes wall-time fields in reports")
+                       help="zero wall-time fields in reports")
         if with_walk_flags:
+            d = WalkConfig()
             p.add_argument("--mode", choices=MODES, help="walk mode (default uniform)")
             p.add_argument("--n", type=int, help="walks per node")
-            p.add_argument("--l", type=int, help="max walk length (default 5)")
-            p.add_argument("--h", type=int, help="leap hop distance (default 2)")
+            p.add_argument("--l", type=int,
+                           help=f"max walk length (default {d.walk_length})")
+            p.add_argument("--h", type=int, help=f"leap hop distance (default {d.hop})")
             p.add_argument("--alpha-min", type=float,
-                           help="acceptance floor added to the MH ratio (default 0.5)")
+                           help="acceptance floor added to the MH ratio "
+                                f"(default {d.alpha_min})")
             p.add_argument("--p", choices=STAT_KINDS,
-                           help="target node statistic (default V_in)")
+                           help=f"target node statistic (default {d.target_stat})")
             p.add_argument("--q", choices=("S", "E"),
-                           help="proposal: reciprocal distance or exp decay (default S)")
+                           help="proposal: reciprocal distance or exp decay "
+                                f"(default {d.proposal})")
             p.add_argument("--lambda", dest="lambda_", type=float, metavar="RATE",
-                           help="decay rate for -q E (default 0.5)")
+                           help=f"decay rate for -q E (default {d.decay})")
             p.add_argument("--nominal-return", type=float,
-                           help="backward proposal when unreturnable (default 0.1)")
+                           help="backward proposal when unreturnable "
+                                f"(default {d.nominal_return})")
             p.add_argument("--smoothing", type=float,
-                           help="additive smoothing of the target statistic (default 1)")
-            p.add_argument("--threads", type=int, help="parallel walk origins (default 1)")
+                           help="additive smoothing of the target statistic "
+                                f"(default {d.stat_smoothing:g})")
         if with_format:
             p.add_argument("--format", choices=("json", "table"), help="report format")
             p.add_argument("--out", help="write the report here instead of stdout")

@@ -148,8 +148,7 @@ def train_logreg(X, y, cfg: LogRegConfig | None = None) -> LogRegModel:
 # Balanced classification protocol
 # ---------------------------------------------------------------------------
 
-def balanced_sets(emb: EmbeddingMatrix, positives, repeats: int, seed: int,
-                  ratio: int = 1) -> list:
+def balanced_sets(emb: EmbeddingMatrix, positives, repeats: int, seed: int) -> list:
     """One labeled dataset per repeat: all positives plus an equal-size
     negative sample drawn without replacement from the remaining nodes."""
     positives = sorted(set(positives))
@@ -159,7 +158,7 @@ def balanced_sets(emb: EmbeddingMatrix, positives, repeats: int, seed: int,
         emb._check(u)
     pos_set = set(positives)
     pool = np.array([u for u in range(emb.num_nodes) if u not in pos_set])
-    need = ratio * len(positives)
+    need = len(positives)
     if len(pool) < need:
         raise InputError(f"need {need} negative candidates, only {len(pool)} "
                          "unlabeled nodes available")
@@ -204,8 +203,6 @@ def accuracy_f1(y_true, y_pred) -> tuple:
 
 @dataclass
 class EvalReport:
-    delta_mae: float | None = None
-    mean_defacto_length: float | None = None
     accuracy: float | None = None
     f1: float | None = None
     split_seed: int | None = None

@@ -6,7 +6,8 @@ Three strategies over the same interface:
   first such occurrence, then resample its remainder on the new graph;
   generate fresh walks for new nodes. Untouched walks are reused as-is.
 * naive: only generate walks for new nodes; stale walks are kept.
-* scratch: regenerate the whole corpus (the equivalence baseline).
+* scratch: regenerate the whole corpus with `generate_corpus` (the
+  equivalence baseline).
 
 The graph delta names every existing endpoint of a batch edge;
 `plan_update` narrows that per walk mode to the nodes whose one-step law
@@ -32,9 +33,7 @@ from .walks import (
     MODE_UNIFORM,
     WalkConfig,
     WalkCorpus,
-    build_node_index,
     fresh_walk_rng,
-    generate_corpus,
     make_sampler,
     resume_rng,
 )
@@ -118,7 +117,6 @@ def _check_update_args(corpus, g_next, delta, cfg, mode):
 def unbiased_update(corpus: WalkCorpus, g_next: TransactionGraph,
                     delta: GraphDelta, cfg: WalkConfig, mode: str,
                     counter: DrawCounter | None = None,
-                    check_index: bool = False,
                     plan: UpdatePlan | None = None) -> WalkCorpus:
     """Trim-and-resume update; returns a new corpus at g_next's version.
 
@@ -131,6 +129,21 @@ def unbiased_update(corpus: WalkCorpus, g_next: TransactionGraph,
     _check_update_args(corpus, g_next, delta, cfg, mode)
     if plan is None:
         plan = plan_update(corpus, delta, g_next)
+    return _carry_forward(corpus, g_next, cfg, mode, plan, counter)
+
+
+def naive_update(corpus: WalkCorpus, g_next: TransactionGraph,
+                 delta: GraphDelta, cfg: WalkConfig, mode: str,
+                 counter: DrawCounter | None = None) -> WalkCorpus:
+    """Fresh walks for new nodes only; existing walks kept verbatim."""
+    _check_update_args(corpus, g_next, delta, cfg, mode)
+    plan = UpdatePlan(frozenset(), delta.new_nodes, frozenset())
+    return _carry_forward(corpus, g_next, cfg, mode, plan, counter)
+
+
+def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
+    """Copy the corpus to g_next's version: resample each affected walk
+    from its first affected node, then append fresh walks for new nodes."""
     out = corpus.copy()
     sampler = make_sampler(g_next, cfg, mode)
     for wi in sorted(plan.affected_walks):
@@ -145,30 +158,4 @@ def unbiased_update(corpus: WalkCorpus, g_next: TransactionGraph,
     out.num_nodes = g_next.num_nodes
     if counter is not None:
         counter.draws += sampler.draws
-    if check_index and build_node_index(out.walks) != out.node_index:
-        raise AssertionError("incremental node index diverged from rebuild")
     return out
-
-
-def naive_update(corpus: WalkCorpus, g_next: TransactionGraph,
-                 delta: GraphDelta, cfg: WalkConfig, mode: str,
-                 counter: DrawCounter | None = None) -> WalkCorpus:
-    """Fresh walks for new nodes only; existing walks kept verbatim."""
-    _check_update_args(corpus, g_next, delta, cfg, mode)
-    out = corpus.copy()
-    sampler = make_sampler(g_next, cfg, mode)
-    for u in sorted(delta.new_nodes):
-        for i in range(cfg.num_walks):
-            rng = fresh_walk_rng(cfg, u, i)
-            out.append_walk(tuple(sampler.extend([u], rng)))
-    out.graph_version = g_next.version
-    out.num_nodes = g_next.num_nodes
-    if counter is not None:
-        counter.draws += sampler.draws
-    return out
-
-
-def from_scratch(g: TransactionGraph, cfg: WalkConfig, mode: str,
-                 counter: DrawCounter | None = None) -> WalkCorpus:
-    """Full regeneration on the given graph; baseline for equivalence runs."""
-    return generate_corpus(g, cfg, mode, counter=counter)

@@ -22,7 +22,6 @@ when the candidate set is empty (sink regions).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,9 +163,7 @@ class UniformSampler:
 class LeapSampler:
     """MH leap walker with per-node frontier and per-pair acceptance caches.
 
-    Caches are valid for one immutable graph version. Benign cache races
-    aside, instances may be shared across threads; the draw counter is only
-    exact in serial use.
+    Caches are valid for one immutable graph version.
     """
 
     mode = MODE_MH
@@ -307,25 +304,6 @@ def leap_transition_matrix(g: TransactionGraph, cfg: WalkConfig) -> np.ndarray:
 # Walk-level operations
 # ---------------------------------------------------------------------------
 
-def uniform_walk(g: TransactionGraph, u: int, l: int, rng) -> tuple:
-    """One uniform out-walk of at most l nodes starting at u."""
-    g._check(u)
-    walk = [u]
-    while len(walk) < l:
-        nbrs = g.out_neighbors(walk[-1])
-        if not nbrs:
-            break
-        walk.append(nbrs[rng.integers(len(nbrs))])
-    return tuple(walk)
-
-
-def mh_walk(g: TransactionGraph, u: int, cfg: WalkConfig, rng) -> tuple:
-    """One leap walk from u: walk_length-1 candidate draws, rejections
-    consume budget without appending."""
-    g._check(u)
-    return tuple(LeapSampler(g, cfg).extend([u], rng))
-
-
 def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
                 rng, sampler=None) -> tuple:
     """Extend a walk prefix on (a possibly newer) graph until walk_length
@@ -414,33 +392,23 @@ def build_node_index(walks) -> dict:
 
 
 def generate_corpus(g: TransactionGraph, cfg: WalkConfig, mode: str,
-                    threads: int = 1, counter=None) -> WalkCorpus:
+                    counter=None) -> WalkCorpus:
     """n walks per node, every node an origin (sinks yield length-1 walks).
 
     Each walk runs on its own rng substream keyed by (seed, node, walk
-    index), so the corpus is identical however the origins are scheduled.
+    index), so the fresh walks an update draws for a new node are that
+    node's walks in a corpus generated from scratch.
     """
     check_mode(mode)
     if g.num_nodes == 0:
         raise InputError("cannot generate walks on an empty graph")
     sampler = make_sampler(g, cfg, mode)
-    n = cfg.num_walks
-    walks = [None] * (g.num_nodes * n)
-
-    def run_origin(u):
-        return [tuple(sampler.extend([u], fresh_walk_rng(cfg, u, i)))
-                for i in range(n)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for u, ws in zip(g.nodes(), pool.map(run_origin, g.nodes())):
-                walks[u * n:(u + 1) * n] = ws
-    else:
-        for u in g.nodes():
-            walks[u * n:(u + 1) * n] = run_origin(u)
+    walks = [tuple(sampler.extend([u], fresh_walk_rng(cfg, u, i)))
+             for u in g.nodes() for i in range(cfg.num_walks)]
     if counter is not None:
         counter.draws += sampler.draws
-    return WalkCorpus(walks, g.version, n, cfg.walk_length, mode, g.num_nodes)
+    return WalkCorpus(walks, g.version, cfg.num_walks, cfg.walk_length, mode,
+                      g.num_nodes)
 
 
 def mean_defacto_length(corpus: WalkCorpus) -> float:

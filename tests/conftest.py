@@ -33,3 +33,17 @@ def random_rows(num_nodes, num_edges, seed, weighted=True):
         rows.append((f"n{u}", f"n{v}", w, ts))
         ts += 1
     return rows
+
+
+def uniform_walk(g, u, l, rng):
+    """One uniform out-walk of at most l nodes starting at u, written
+    independently of the library's samplers so tests can use it as the
+    reference distribution."""
+    g._check(u)
+    walk = [u]
+    while len(walk) < l:
+        nbrs = g.out_neighbors(walk[-1])
+        if not nbrs:
+            break
+        walk.append(nbrs[rng.integers(len(nbrs))])
+    return tuple(walk)

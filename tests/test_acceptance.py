@@ -26,14 +26,13 @@ from walkforge import (
     resume_walk,
     theoretical_transitions,
     train,
-    uniform_walk,
 )
 from walkforge.cli import main
 from walkforge.graph import segment_sizes
-from walkforge.incremental import DrawCounter, from_scratch, naive_update, unbiased_update
+from walkforge.incremental import DrawCounter, naive_update, unbiased_update
 from walkforge.synth import preferential_attachment_stream, sbm_stream, sink_heavy_stream
 from walkforge.walks import LeapSampler, make_sampler, _walk_rng
-from conftest import rows_from_edges
+from conftest import rows_from_edges, uniform_walk
 
 
 def verdict(num, name, passed, detail=""):
@@ -75,7 +74,7 @@ def segment_experiment():
                                    "uniform", counter=update_work)
         naive = naive_update(naive, g_next, delta, cfg[SCRATCH_SEED],
                              "uniform")
-        scratch = {s: from_scratch(
+        scratch = {s: generate_corpus(
             g_next, cfg[s], "uniform",
             counter=scratch_work if s == SCRATCH_SEED else None)
             for s in CALIBRATION_SEEDS}

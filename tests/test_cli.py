@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from walkforge import diff_graphs, load_corpus, load_graph, plan_update
+from walkforge import (
+    WalkConfig,
+    diff_graphs,
+    generate_corpus,
+    load_corpus,
+    load_graph,
+    plan_update,
+)
 from walkforge.cli import main
 from walkforge.synth import sbm_stream
 from conftest import random_rows
@@ -105,12 +112,11 @@ def test_walk_deterministic_output(tmp_path, graph_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_walk_threads_agree_with_serial(tmp_path, graph_file):
-    a, b = tmp_path / "a.wfw", tmp_path / "b.wfw"
-    base = ["walk", str(graph_file), "--mode", "uniform", "--n", "2", "--seed", "4"]
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_walk_defaults_are_walk_config_defaults(tmp_path, graph_file):
+    out = tmp_path / "c.wfw"
+    assert main(["walk", str(graph_file), "--out", str(out)]) == 0
+    expected = generate_corpus(load_graph(graph_file), WalkConfig(), "uniform")
+    assert load_corpus(out).walks == expected.walks
 
 
 @pytest.fixture

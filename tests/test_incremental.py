@@ -13,7 +13,6 @@ from walkforge import (
     WalkConfig,
     apply_batch,
     diff_graphs,
-    from_scratch,
     generate_corpus,
     ingest_edges,
     naive_update,
@@ -188,7 +187,8 @@ def test_unbiased_prefix_preservation_and_cardinality():
     cfg = WalkConfig(num_walks=2, walk_length=5, seed=3)
     corpus = generate_corpus(g, cfg, "uniform")
     plan = plan_update(corpus, delta, g2)
-    updated = unbiased_update(corpus, g2, delta, cfg, "uniform", check_index=True)
+    updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
+    assert updated.node_index == build_node_index(updated.walks)
     assert len(updated) == len(corpus) + cfg.num_walks * len(delta.new_nodes)
     for i in plan.affected_walks:
         prefix = trim_walk(corpus.walks[i], plan.affected_nodes)
@@ -225,7 +225,8 @@ def test_unbiased_update_works_in_mh_mode():
     g, g2, delta = build_pair(seed=9)
     cfg = WalkConfig(num_walks=2, walk_length=5, hop=2, seed=6)
     corpus = generate_corpus(g, cfg, "mh")
-    updated = unbiased_update(corpus, g2, delta, cfg, "mh", check_index=True)
+    updated = unbiased_update(corpus, g2, delta, cfg, "mh")
+    assert updated.node_index == build_node_index(updated.walks)
     for walk in updated.walks:
         for a, b in zip(walk, walk[1:]):
             assert g2.shortest_hop(a, b, cap=2) == 2 or g.shortest_hop(a, b, cap=2) == 2
@@ -262,12 +263,12 @@ def test_copy_on_write_keeps_parent_and_siblings_apart():
                                    ("n52", "n7", 1.0, 90_002)])
     assert plan_update(parent, delta_a, g_a).affected_walks
     assert plan_update(parent, delta_b, g_b).affected_walks
-    child_a = unbiased_update(parent, g_a, delta_a, cfg, "uniform", check_index=True)
-    child_b = unbiased_update(parent, g_b, delta_b, cfg, "uniform", check_index=True)
+    child_a = unbiased_update(parent, g_a, delta_a, cfg, "uniform")
+    child_b = unbiased_update(parent, g_b, delta_b, cfg, "uniform")
     naive = naive_update(parent, g_a, delta_a, cfg, "uniform")
     g_c, delta_c = apply_batch(g_a, [("n8", "n53", 1.0, 90_010)])
-    unbiased_update(child_a, g_c, delta_c, cfg, "uniform", check_index=True)
-    for c in (child_a, child_b, naive):
+    grandchild = unbiased_update(child_a, g_c, delta_c, cfg, "uniform")
+    for c in (child_a, child_b, naive, grandchild):
         assert c.node_index == build_node_index(c.walks)
     assert parent.walks == walks_before
     assert parent.node_index == build_node_index(parent.walks)
@@ -296,25 +297,19 @@ def test_naive_no_new_nodes_is_pure_version_bump():
     assert updated.walks == corpus.walks
 
 
-def test_from_scratch_is_generate_corpus():
-    g = ingest_edges(random_rows(25, 100, seed=11))
-    cfg = WalkConfig(num_walks=2, walk_length=5, seed=9)
-    assert from_scratch(g, cfg, "uniform").walks == \
-        generate_corpus(g, cfg, "uniform").walks
-
-
 def test_new_node_walks_match_scratch_substreams():
     # fresh walks for newcomers reuse the (seed, node, i) streams, so a
     # node's walks agree between an update and a from-scratch corpus
     g, g2, delta = build_pair(seed=12)
     cfg = WalkConfig(num_walks=2, walk_length=5, seed=10)
     corpus = generate_corpus(g, cfg, "uniform")
-    updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
     scratch = generate_corpus(g2, cfg, "uniform")
-    for u in delta.new_nodes:
-        from_scratch_walks = scratch.walks[u * cfg.num_walks:(u + 1) * cfg.num_walks]
-        appended = [w for w in updated.walks[len(corpus):] if w[0] == u]
-        assert appended == from_scratch_walks
+    for update in (unbiased_update, naive_update):
+        updated = update(corpus, g2, delta, cfg, "uniform")
+        for u in delta.new_nodes:
+            from_scratch_walks = scratch.walks[u * cfg.num_walks:(u + 1) * cfg.num_walks]
+            appended = [w for w in updated.walks[len(corpus):] if w[0] == u]
+            assert appended == from_scratch_walks
 
 
 def test_resumed_suffixes_statistically_match_fresh_walks():

@@ -16,13 +16,11 @@ from walkforge import (
     load_corpus,
     mean_defacto_length,
     mh_acceptance,
-    mh_walk,
     resume_walk,
     save_corpus,
-    uniform_walk,
 )
 from walkforge.walks import LeapSampler, build_node_index, make_sampler
-from conftest import random_rows, rows_from_edges
+from conftest import random_rows, rows_from_edges, uniform_walk
 
 
 def rng_(seed=0):
@@ -132,7 +130,7 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
     g = ingest_edges(rows)
     cfg = WalkConfig(walk_length=5, hop=2, alpha_min=1.0, seed=3)
     for u in list(g.nodes())[:5]:
-        walk = mh_walk(g, u, cfg, rng_(u))
+        walk = resume_walk(g, (u,), cfg, "mh", rng_(u))
         # accepted every step: full length unless a frontier emptied
         if len(walk) < 5:
             assert not g.h_hop_frontier(walk[-1], 2)
@@ -141,7 +139,7 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
 def test_mh_walk_sink_chain():
     g = ingest_edges([("a", "b", 1.0, 0)])
     cfg = WalkConfig(walk_length=5, hop=1, alpha_min=1.0)
-    assert mh_walk(g, g.id_of("a"), cfg, rng_()) == (0, 1)
+    assert resume_walk(g, (g.id_of("a"),), cfg, "mh", rng_()) == (0, 1)
 
 
 def test_mh_walk_consecutive_pairs_at_exact_hop():
@@ -230,16 +228,6 @@ def test_corpus_seed_determinism():
         a = generate_corpus(g, cfg, mode)
         b = generate_corpus(g, cfg, mode)
         assert a.walks == b.walks
-
-
-def test_parallel_equals_serial():
-    rows = random_rows(50, 200, seed=12)
-    g = ingest_edges(rows)
-    cfg = WalkConfig(num_walks=4, walk_length=5, hop=2, seed=3)
-    for mode in ("uniform", "mh"):
-        serial = generate_corpus(g, cfg, mode)
-        parallel = generate_corpus(g, cfg, mode, threads=4)
-        assert serial.walks == parallel.walks
 
 
 def test_node_index_matches_rebuild_oracle():
