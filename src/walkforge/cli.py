@@ -179,6 +179,19 @@ def _render_table(report: dict) -> str:
     return "\n".join(rows)
 
 
+def _check_corpus_graph(corpus, g, what: str):
+    """A corpus belongs to the graph version it was walked on, and every
+    node of that graph is an origin, so the node counts agree too."""
+    if corpus.graph_version != g.version:
+        raise StateMismatchError(
+            f"corpus is for graph version {corpus.graph_version}, "
+            f"{what} is version {g.version}")
+    if corpus.num_nodes != g.num_nodes:
+        raise StateMismatchError(
+            f"corpus walks {corpus.num_nodes} nodes, {what} has "
+            f"{g.num_nodes}; not the graph it was walked on")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -236,10 +249,7 @@ def cmd_update(args) -> int:
     corpus = load_corpus(args.corpus)
     g_prev = load_graph(args.graph_prev)
     g_next = load_graph(args.graph_next)
-    if corpus.graph_version != g_prev.version:
-        raise StateMismatchError(
-            f"corpus is for graph version {corpus.graph_version}, "
-            f"predecessor graph is version {g_prev.version}")
+    _check_corpus_graph(corpus, g_prev, "predecessor graph")
     mode = s.get("mode", corpus.mode)
     cfg = _walk_config(s, WalkConfig(num_walks=corpus.n, walk_length=corpus.l))
     delta = diff_graphs(g_prev, g_next)
@@ -289,10 +299,7 @@ def cmd_train(args) -> int:
 def cmd_eval_mae(args) -> int:
     corpus = load_corpus(args.corpus)
     g = load_graph(args.graph)
-    if corpus.graph_version != g.version:
-        raise StateMismatchError(
-            f"corpus is for graph version {corpus.graph_version}, "
-            f"graph is version {g.version}")
+    _check_corpus_graph(corpus, g, "graph")
     value = delta_mae(empirical_transitions(corpus), theoretical_transitions(g))
     report = {
         "delta_mae": value,

@@ -99,7 +99,6 @@ class LogRegConfig:
 @dataclass
 class LogRegModel:
     weights: np.ndarray  # d feature weights then the bias
-    trained: bool = False
 
     def decision(self, X) -> np.ndarray:
         return X @ self.weights[:-1] + self.weights[-1]
@@ -141,7 +140,7 @@ def train_logreg(X, y, cfg: LogRegConfig | None = None) -> LogRegModel:
         if np.linalg.norm(grad) < cfg.tol:
             break
         w -= step * grad
-    return LogRegModel(w, trained=True)
+    return LogRegModel(w)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +215,7 @@ class EvalReport:
 
 
 def classify_eval(emb: EmbeddingMatrix, positives, split: float = 0.8,
-                  repeats: int = 10, seed: int = 0,
-                  logreg: LogRegConfig | None = None) -> EvalReport:
+                  repeats: int = 10, seed: int = 0) -> EvalReport:
     """Balanced datasets -> stratified split -> logistic regression,
     reporting mean accuracy and positive-class F1 over the repeats."""
     if not 0.0 < split < 1.0:
@@ -228,7 +226,7 @@ def classify_eval(emb: EmbeddingMatrix, positives, split: float = 0.8,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, 1)))
         train_idx, test_idx = _stratified_split(ids, labels, split, rng)
         X = emb.input_vectors[ids]
-        model = train_logreg(X[train_idx], labels[train_idx], logreg)
+        model = train_logreg(X[train_idx], labels[train_idx])
         acc, f1 = accuracy_f1(labels[test_idx], model.predict(X[test_idx]))
         per_repeat.append({"repeat": r, "accuracy": acc, "f1": f1,
                            "train_size": int(len(train_idx)),

@@ -56,18 +56,20 @@ class GraphDelta:
 class TransactionGraph:
     """Immutable snapshot of the transaction graph at one version.
 
-    Adjacency is stored as per-node dicts keyed by the opposite endpoint;
-    sorted edge tuples and neighbor tuples are materialized lazily and
-    memoized. Per-node value/frequency stats are maintained incrementally
-    so `node_stat` is O(1).
+    Each edge is stored once, in a per-source dict keyed by destination;
+    sorted neighbor tuples are materialized lazily and memoized. Per-node
+    value, frequency and in-degree stats are maintained incrementally so
+    `node_stat` is O(1). The graph owns every traversal of its adjacency,
+    the leap sampler's capped frontier BFS included, so no other module
+    depends on the layout.
     """
 
-    def __init__(self, addresses, ids, out, inn, v_in, v_out, freq,
+    def __init__(self, addresses, ids, out, d_in, v_in, v_out, freq,
                  version, max_timestamp):
         self._addresses = addresses
         self._ids = ids
         self._out = out  # list[dict[dst, TxEdge]]
-        self._in = inn   # list[dict[src, TxEdge]]
+        self._d_in = d_in
         self._v_in = v_in
         self._v_out = v_out
         self._freq = freq
@@ -75,7 +77,6 @@ class TransactionGraph:
         self.max_timestamp = max_timestamp
         self._num_edges = sum(len(d) for d in out)
         self._nbrs_out = [None] * len(addresses)
-        self._nbrs_in = [None] * len(addresses)
 
     # -- lookups -----------------------------------------------------------
 
@@ -115,22 +116,6 @@ class TransactionGraph:
             self._nbrs_out[u] = nbrs
         return nbrs
 
-    def in_neighbors(self, u: int) -> tuple:
-        self._check(u)
-        nbrs = self._nbrs_in[u]
-        if nbrs is None:
-            nbrs = tuple(sorted(self._in[u]))
-            self._nbrs_in[u] = nbrs
-        return nbrs
-
-    def out_edges(self, u: int) -> list:
-        self._check(u)
-        return [self._out[u][v] for v in sorted(self._out[u])]
-
-    def in_edges(self, u: int) -> list:
-        self._check(u)
-        return [self._in[u][v] for v in sorted(self._in[u])]
-
     def edge(self, u: int, v: int) -> TxEdge | None:
         self._check(u)
         return self._out[u].get(v)
@@ -154,7 +139,7 @@ class TransactionGraph:
         if kind == "F":
             return float(self._freq[u])
         if kind == "D_in":
-            return float(len(self._in[u]))
+            return float(self._d_in[u])
         if kind == "D_out":
             return float(len(self._out[u]))
         raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
@@ -166,12 +151,19 @@ class TransactionGraph:
 
     def h_hop_frontier(self, u: int, h: int) -> set:
         """Nodes at directed shortest-path distance exactly h from u."""
+        return set(self.capped_frontier(u, h)[0])
+
+    def capped_frontier(self, u: int, h: int, cap: int | None = None) -> tuple:
+        """(sorted tuple of the nodes at distance exactly h from u, None),
+        or (None, frozenset of the nodes closer than h) as soon as more
+        than `cap` frontier nodes are found; an oversized frontier is never
+        materialized."""
         self._check(u)
         if h < 1:
             raise ConfigError(f"h must be >= 1, got {h}")
         seen = {u}
         level = [u]
-        for _ in range(h):
+        for _ in range(h - 1):
             nxt = []
             for x in level:
                 for y in self._out[x]:
@@ -179,9 +171,17 @@ class TransactionGraph:
                         seen.add(y)
                         nxt.append(y)
             if not nxt:
-                return set()
+                return (), None
             level = nxt
-        return set(level)
+        frontier = []
+        for x in level:
+            for y in self._out[x]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+                    if cap is not None and len(frontier) > cap:
+                        return None, frozenset(seen.difference(frontier))
+        return tuple(sorted(frontier)), None
 
     def shortest_hop(self, u: int, v: int, cap: int) -> int | None:
         """Directed hop distance from u to v if <= cap, else None."""
@@ -216,7 +216,7 @@ class _Builder:
             self.addresses = []
             self.ids = {}
             self.out = []
-            self.inn = []
+            self.d_in = []
             self.v_in = []
             self.v_out = []
             self.freq = []
@@ -226,14 +226,13 @@ class _Builder:
             self.ids = dict(base._ids)
             # inner dicts are copied lazily, only for touched nodes
             self.out = list(base._out)
-            self.inn = list(base._in)
+            self.d_in = list(base._d_in)
             self.v_in = list(base._v_in)
             self.v_out = list(base._v_out)
             self.freq = list(base._freq)
             self.max_ts = base.max_timestamp
         self._base_n = len(self.addresses)
         self._copied_out = set()
-        self._copied_in = set()
 
     def node_id(self, address: str) -> int:
         nid = self.ids.get(address)
@@ -242,7 +241,7 @@ class _Builder:
             self.ids[address] = nid
             self.addresses.append(address)
             self.out.append({})
-            self.inn.append({})
+            self.d_in.append(0)
             self.v_in.append(0.0)
             self.v_out.append(0.0)
             self.freq.append(0)
@@ -254,22 +253,15 @@ class _Builder:
             self._copied_out.add(u)
         return self.out[u]
 
-    def _in_dict(self, u: int) -> dict:
-        if u < self._base_n and u not in self._copied_in:
-            self.inn[u] = dict(self.inn[u])
-            self._copied_in.add(u)
-        return self.inn[u]
-
     def add(self, s: int, d: int, weight: float, ts: int, count: int):
         out_d = self._out_dict(s)
         prev = out_d.get(d)
         if prev is None:
-            edge = TxEdge(s, d, weight, ts, count)
+            out_d[d] = TxEdge(s, d, weight, ts, count)
+            self.d_in[d] += 1
         else:
-            edge = TxEdge(s, d, prev.weight + weight,
-                          min(prev.timestamp, ts), prev.count + count)
-        out_d[d] = edge
-        self._in_dict(d)[s] = edge
+            out_d[d] = TxEdge(s, d, prev.weight + weight,
+                              min(prev.timestamp, ts), prev.count + count)
         self.v_out[s] += weight
         self.v_in[d] += weight
         self.freq[s] += count
@@ -279,7 +271,7 @@ class _Builder:
             self.max_ts = ts
 
     def build(self, version: int) -> TransactionGraph:
-        return TransactionGraph(self.addresses, self.ids, self.out, self.inn,
+        return TransactionGraph(self.addresses, self.ids, self.out, self.d_in,
                                 self.v_in, self.v_out, self.freq,
                                 version, self.max_ts)
 
@@ -448,7 +440,13 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     Ties in timestamp keep input order so segmentation is deterministic.
     Each returned graph is a successor version of the previous one.
     """
-    rows = sorted(records, key=lambda r: int(r[3]))
+    try:
+        rows = sorted(records, key=lambda r: int(r[3]))
+    except (IndexError, TypeError, ValueError):
+        # name the first bad row the way ingest would
+        for i, record in enumerate(records):
+            _coerce_record(record, f"record {i + 1}")
+        raise
     sizes = segment_sizes(len(rows), initial_frac, step_frac)
     graphs = []
     g = ingest_edges(rows[:sizes[0]])

@@ -38,8 +38,6 @@ WALKS_MAGIC = "WALKFORGE-WALKS v1"
 # explosion-guard fallback: retries of random h-step expansion per draw
 _FALLBACK_TRIES = 16
 
-_TOO_BIG = object()  # frontier-cache marker: too large to materialize
-
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -174,44 +172,14 @@ class LeapSampler:
         self.draws = 0
         cap = cfg.frontier_cap
         self._cap = 64 * cfg.hop if cap is None else cap
-        self._frontiers = {}   # node -> (tuple | _TOO_BIG, ball frozenset | None)
+        self._frontiers = {}   # node -> g.capped_frontier(node, hop, cap)
         self._alpha = {}       # (curr, v) -> acceptance probability
 
-    def _frontier(self, u: int):
+    def _frontier(self, u: int) -> tuple:
         ent = self._frontiers.get(u)
-        if ent is not None:
-            return ent
-        g = self.g
-        h = self.cfg.hop
-        seen = {u}
-        level = [u]
-        for _ in range(h - 1):
-            nxt = []
-            for x in level:
-                for y in g._out[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            level = nxt
-            if not level:
-                break
-        ent = ((), None)
-        if level:
-            ball = frozenset(seen)  # everything closer than h
-            frontier = []
-            overflow = False
-            for x in level:
-                for y in g._out[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-                        if len(frontier) > self._cap:
-                            overflow = True
-                            break
-                if overflow:
-                    break
-            ent = (_TOO_BIG, ball) if overflow else (tuple(sorted(frontier)), None)
-        self._frontiers[u] = ent
+        if ent is None:
+            ent = self._frontiers[u] = self.g.capped_frontier(
+                u, self.cfg.hop, self._cap)
         return ent
 
     def _draw_beyond_ball(self, curr: int, ball, rng) -> int | None:
@@ -246,7 +214,7 @@ class LeapSampler:
         """One chain step: the accepted candidate, curr itself on rejection,
         or None when the frontier is empty (the walk must stop)."""
         frontier, ball = self._frontier(curr)
-        if frontier is _TOO_BIG:
+        if frontier is None:
             self.draws += 1
             v = self._draw_beyond_ball(curr, ball, rng)
             if v is None:
@@ -289,7 +257,7 @@ def leap_transition_matrix(g: TransactionGraph, cfg: WalkConfig) -> np.ndarray:
     n = g.num_nodes
     P = np.zeros((n, n))
     for u in g.nodes():
-        frontier = sorted(g.h_hop_frontier(u, cfg.hop))
+        frontier, _ = g.capped_frontier(u, cfg.hop)
         if not frontier:
             P[u, u] = 1.0
             continue

@@ -91,6 +91,15 @@ def test_segment_invalid_fraction(tmp_path, edges_csv):
                  "--initial", "1.5", "--step", "0.1"]) == 2
 
 
+def test_segment_bad_timestamp_exits_2_with_location(tmp_path, capsys):
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst,value,timestamp\na,b,1.0,0\nb,c,1.0,xyz\n")
+    outdir = tmp_path / "segs"
+    assert main(["segment", str(path), "--outdir", str(outdir)]) == 2
+    assert "record 2: timestamp 'xyz' is not an integer" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_segment_respects_workdir_lock(tmp_path, edges_csv):
     outdir = tmp_path / "segs"
     outdir.mkdir()
@@ -190,6 +199,28 @@ def test_update_rejects_wrong_predecessor(tmp_path, segment_pair):
                  "--graph-next", str(g1), "--n", "2", "--seed", "3",
                  "--out", str(tmp_path / "x.wfw")])
     assert code == 3
+
+
+def test_update_rejects_corpus_of_another_graph(tmp_path, segment_pair):
+    # both pairs are versions 0 -> 1, but their node sets differ
+    rows, _ = sbm_stream(sizes=(15, 15), p_in=0.3, p_out=0.02, seed=5)
+    edges = tmp_path / "other.csv"
+    write_edges(edges, rows)
+    outdir = tmp_path / "other"
+    main(["segment", str(edges), "--outdir", str(outdir),
+          "--initial", "0.5", "--step", "0.5"])
+    other_pair = outdir / "segment_000.wfg", outdir / "segment_001.wfg"
+    assert load_graph(other_pair[0]).num_nodes != load_graph(segment_pair[0]).num_nodes
+    for walked, (prev, nxt) in ((segment_pair[0], other_pair),
+                                (other_pair[0], segment_pair)):
+        corpus = tmp_path / "c.wfw"
+        main(["walk", str(walked), "--n", "2", "--out", str(corpus)])
+        code = main(["update", "--corpus", str(corpus), "--graph-prev", str(prev),
+                     "--graph-next", str(nxt), "--n", "2",
+                     "--out", str(tmp_path / "x.wfw")])
+        assert code == 3
+        assert main(["eval", "mae", "--corpus", str(corpus),
+                     "--graph", str(prev)]) == 3
 
 
 def test_update_rejects_mode_mismatch(tmp_path, segment_pair):

@@ -144,8 +144,9 @@ def test_node_stat_unknown_node_and_kind():
 
 
 def brute_force_stats(g, u):
-    ins = g.in_edges(u)
-    outs = g.out_edges(u)
+    edges = list(g.edges())
+    ins = [e for e in edges if e.dst == u]
+    outs = [e for e in edges if e.src == u]
     freq = sum(e.count for e in ins) + sum(e.count for e in outs)
     freq -= sum(e.count for e in outs if e.src == e.dst)  # self-loop counted once
     return {
@@ -193,6 +194,11 @@ def test_frontier_matches_bfs_oracle():
         for h in (1, 2, 3):
             expected = {v for v, d in dist.items() if d == h}
             assert g.h_hop_frontier(u, h) == expected
+            assert g.capped_frontier(u, h, len(expected)) == (
+                tuple(sorted(expected)), None)
+            if expected:
+                ball = frozenset(v for v, d in dist.items() if d < h)
+                assert g.capped_frontier(u, h, len(expected) - 1) == (None, ball)
 
 
 def test_shortest_hop_basics():
@@ -312,12 +318,18 @@ def test_delta_replay_reproduces_next_version(base, batch):
     assert incident <= (delta.new_nodes | delta.affected_nodes)
 
 
-@given(edges=edge_lists)
-def test_cached_stats_equal_brute_force(edges):
+@given(edges=edge_lists, batch=edge_lists)
+def test_cached_stats_equal_brute_force(tmp_path_factory, edges, batch):
     g = ingest_edges(rows_from_edges(edges))
-    for u in g.nodes():
-        for kind, val in brute_force_stats(g, u).items():
-            assert g.node_stat(u, kind) == pytest.approx(val)
+    shifted = [(f"n{u}", f"n{v}", w, 10_000 + i)
+               for i, (u, v, w) in enumerate(batch)]
+    g2, _ = apply_batch(g, shifted)  # through the copy-on-write builder
+    path = tmp_path_factory.mktemp("dump") / "g.wfg"
+    save_graph(g2, path)
+    for graph in (g, g2, load_graph(path)):
+        for u in graph.nodes():
+            for kind, val in brute_force_stats(graph, u).items():
+                assert graph.node_stat(u, kind) == pytest.approx(val)
 
 
 # ---------------------------------------------------------------------------
