@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, InputError, ModeMismatchError
 from .graph import TransactionGraph
 from .walks import MODE_UNIFORM, WalkCorpus
-from .embedding import EmbeddingMatrix
+from .embedding import EmbeddingMatrix, _flatten
 
 
 @dataclass
@@ -43,13 +43,20 @@ class TransitionTable:
 def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
     if not corpus.walks:
         raise ValueError("corpus has no walks")
-    counts = {}
-    row_totals = {}
-    for walk in corpus.walks:
-        for u, v in zip(walk, walk[1:]):
-            counts[(u, v)] = counts.get((u, v), 0) + 1
-            row_totals[u] = row_totals.get(u, 0) + 1
-    return TransitionTable(counts, row_totals, corpus.mode)
+    tokens, lengths = _flatten(corpus.walks)
+    width = int(tokens.max()) + 1
+    has_next = np.ones(len(tokens) - 1, dtype=bool)
+    has_next[np.cumsum(lengths[:-1]) - 1] = False  # a walk's last token
+    codes = tokens[:-1][has_next] * width  # pair (u, v) as u * width + v
+    codes += tokens[1:][has_next]
+    del tokens, has_next  # freed before np.unique sorts a copy of codes
+    codes, counts = np.unique(codes, return_counts=True)
+    src, dst = np.divmod(codes, width)
+    sources, first = np.unique(src, return_index=True)
+    return TransitionTable(
+        dict(zip(zip(src.tolist(), dst.tolist()), counts.tolist())),
+        dict(zip(sources.tolist(), np.add.reduceat(counts, first).tolist())),
+        corpus.mode)
 
 
 def theoretical_transitions(g: TransactionGraph) -> dict:

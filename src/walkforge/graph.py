@@ -13,6 +13,9 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count
+
+import numpy as np
 
 from .errors import (
     AppendOrderError,
@@ -39,6 +42,21 @@ class TxEdge:
 
 
 @dataclass(frozen=True)
+class OutCSR:
+    """The sorted out-adjacency of one version as arrays.
+
+    The out-neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, in
+    ascending order. `tokens[u]` is node id u as one int object shared by
+    every walk built from this view, so a corpus holds one object per node
+    rather than one per token.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    tokens: np.ndarray
+
+
+@dataclass(frozen=True)
 class GraphDelta:
     """Difference between two consecutive graph versions."""
 
@@ -57,15 +75,15 @@ class TransactionGraph:
     """Immutable snapshot of the transaction graph at one version.
 
     Each edge is stored once, in a per-source dict keyed by destination;
-    sorted neighbor tuples are materialized lazily and memoized. Per-node
-    value, frequency and in-degree stats are maintained incrementally so
-    `node_stat` is O(1). The graph owns every traversal of its adjacency,
-    the leap sampler's capped frontier BFS included, so no other module
-    depends on the layout.
+    sorted neighbor tuples and the CSR view are materialized lazily and
+    memoized. Per-node value, frequency and in-degree stats are maintained
+    incrementally so `node_stat` is O(1). The graph owns every traversal
+    of its adjacency, the leap sampler's capped frontier BFS included, so
+    no other module depends on the layout.
     """
 
     def __init__(self, addresses, ids, out, d_in, v_in, v_out, freq,
-                 version, max_timestamp):
+                 version, max_timestamp, csr_base=None):
         self._addresses = addresses
         self._ids = ids
         self._out = out  # list[dict[dst, TxEdge]]
@@ -77,6 +95,9 @@ class TransactionGraph:
         self.max_timestamp = max_timestamp
         self._num_edges = sum(len(d) for d in out)
         self._nbrs_out = [None] * len(addresses)
+        self._csr = None
+        # (parent's OutCSR, sorted old sources that gained an out-neighbour)
+        self._csr_base = csr_base
 
     # -- lookups -----------------------------------------------------------
 
@@ -115,6 +136,20 @@ class TransactionGraph:
             nbrs = tuple(sorted(self._out[u]))
             self._nbrs_out[u] = nbrs
         return nbrs
+
+    def out_csr(self) -> OutCSR:
+        """The CSR view of the out-adjacency, built once per version. A
+        version made by apply_batch from a parent whose view was built
+        copies the parent's arrays and re-splices only the changed rows."""
+        csr = self._csr
+        if csr is None:
+            if self._csr_base is None:
+                csr = _build_csr(self._out)
+            else:
+                csr = _splice_csr(*self._csr_base, self._out)
+            self._csr = csr
+            self._csr_base = None
+        return csr
 
     def edge(self, u: int, v: int) -> TxEdge | None:
         self._check(u)
@@ -205,6 +240,43 @@ class TransactionGraph:
 
 
 # ---------------------------------------------------------------------------
+# CSR view
+# ---------------------------------------------------------------------------
+
+def _build_csr(out) -> OutCSR:
+    deg = np.fromiter(map(len, out), dtype=np.intp, count=len(out))
+    indptr = np.zeros(len(out) + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(map(sorted, out)), dtype=np.intp,
+                          count=int(indptr[-1]))
+    return OutCSR(indptr, indices, np.arange(len(out)).astype(object))
+
+
+def _splice_csr(base: OutCSR, gained, out) -> OutCSR:
+    """`base` with the rows of `gained` (old sources that gained an
+    out-neighbour) and of the nodes added since rebuilt from `out`."""
+    n_old = len(base.indptr) - 1
+    n = len(out)
+    rebuilt = list(gained) + list(range(n_old, n))
+    deg = np.empty(n, dtype=np.intp)
+    deg[:n_old] = np.diff(base.indptr)
+    deg[rebuilt] = [len(out[u]) for u in rebuilt]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.intp)
+    lo = 0  # rows lo..u-1 are unchanged and copied as one stretch
+    for u in [*gained, n_old]:
+        indices[indptr[lo]:indptr[u]] = base.indices[base.indptr[lo]:base.indptr[u]]
+        lo = u + 1
+    for u in rebuilt:
+        indices[indptr[u]:indptr[u + 1]] = sorted(out[u])
+    tokens = base.tokens
+    if n > n_old:
+        tokens = np.concatenate([tokens, np.arange(n_old, n).astype(object)])
+    return OutCSR(indptr, indices, tokens)
+
+
+# ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
 
@@ -233,6 +305,7 @@ class _Builder:
             self.max_ts = base.max_timestamp
         self._base_n = len(self.addresses)
         self._copied_out = set()
+        self.gained = set()  # old sources given a new out-neighbour
 
     def node_id(self, address: str) -> int:
         nid = self.ids.get(address)
@@ -259,6 +332,8 @@ class _Builder:
         if prev is None:
             out_d[d] = TxEdge(s, d, weight, ts, count)
             self.d_in[d] += 1
+            if s < self._base_n:
+                self.gained.add(s)
         else:
             out_d[d] = TxEdge(s, d, prev.weight + weight,
                               min(prev.timestamp, ts), prev.count + count)
@@ -270,10 +345,16 @@ class _Builder:
         if self.max_ts is None or ts > self.max_ts:
             self.max_ts = ts
 
-    def build(self, version: int) -> TransactionGraph:
+    def build(self, version: int, base: TransactionGraph | None = None
+              ) -> TransactionGraph:
+        """The new version; with `base`, its CSR view (when built) is
+        passed on for splicing."""
+        csr_base = None
+        if base is not None and base._csr is not None:
+            csr_base = (base._csr, sorted(self.gained))
         return TransactionGraph(self.addresses, self.ids, self.out, self.d_in,
                                 self.v_in, self.v_out, self.freq,
-                                version, self.max_ts)
+                                version, self.max_ts, csr_base)
 
 
 def _coerce_record(record, where: str):
@@ -305,25 +386,27 @@ def _coerce_record(record, where: str):
     return src, dst, value, ts, count
 
 
-def ingest_edges(records, rejects: list | None = None) -> TransactionGraph:
+def ingest_edges(records, rejects: list | None = None,
+                 numbers=None) -> TransactionGraph:
     """Build the version-0 graph from raw rows (src, dst, value, timestamp[, count]).
 
     Malformed rows raise ParseError; rows with a negative value are skipped
-    and, when `rejects` is given, recorded there as (record_index, reason).
+    and, when `rejects` is given, recorded there as (record_number, reason).
+    Records are numbered 1, 2, ... unless `numbers` gives each row's number.
     """
     b = _Builder()
-    for i, record in enumerate(records):
-        src, dst, value, ts, count = _coerce_record(record, f"record {i + 1}")
+    for i, record in zip(numbers or count(1), records):
+        src, dst, value, ts, cnt = _coerce_record(record, f"record {i}")
         if value < 0:
             if rejects is not None:
-                rejects.append((i + 1, f"negative value {value}"))
+                rejects.append((i, f"negative value {value}"))
             continue
-        b.add(b.node_id(src), b.node_id(dst), value, ts, count)
+        b.add(b.node_id(src), b.node_id(dst), value, ts, cnt)
     return b.build(version=0)
 
 
 def apply_batch(g: TransactionGraph, records,
-                rejects: list | None = None) -> tuple:
+                rejects: list | None = None, numbers=None) -> tuple:
     """Append a batch of rows, returning (new graph version, delta).
 
     Timestamps must not predate data already in the graph. A batch row for
@@ -331,39 +414,40 @@ def apply_batch(g: TransactionGraph, records,
     existing endpoint of a batch edge in `affected_nodes`, since either
     one's stats may change; `incremental.plan_update` narrows that set to
     the nodes whose transition law changed in the corpus's walk mode.
+    Records are numbered as in `ingest_edges`.
     """
     b = _Builder(g)
     prev_n = g.num_nodes
     touched = set()
     batch_edges = {}
-    for i, record in enumerate(records):
-        src, dst, value, ts, count = _coerce_record(record, f"record {i + 1}")
+    for i, record in zip(numbers or count(1), records):
+        src, dst, value, ts, cnt = _coerce_record(record, f"record {i}")
         if g.max_timestamp is not None and ts < g.max_timestamp:
             raise AppendOrderError(
-                f"record {i + 1}: timestamp {ts} predates graph max "
+                f"record {i}: timestamp {ts} predates graph max "
                 f"{g.max_timestamp} (append-only)")
         if value < 0:
             if rejects is not None:
-                rejects.append((i + 1, f"negative value {value}"))
+                rejects.append((i, f"negative value {value}"))
             continue
         s = b.node_id(src)
         d = b.node_id(dst)
-        b.add(s, d, value, ts, count)
+        b.add(s, d, value, ts, cnt)
         touched.add(s)
         touched.add(d)
         prev = batch_edges.get((s, d))
         if prev is None:
-            batch_edges[(s, d)] = [value, ts, count]
+            batch_edges[(s, d)] = [value, ts, cnt]
         else:
             prev[0] += value
             prev[1] = min(prev[1], ts)
-            prev[2] += count
+            prev[2] += cnt
     new_nodes = frozenset(u for u in touched if u >= prev_n)
     affected = frozenset(u for u in touched if u < prev_n)
     new_edges = tuple(TxEdge(s, d, w, ts, c)
                       for (s, d), (w, ts, c) in sorted(batch_edges.items()))
     delta = GraphDelta(g.version, g.version + 1, new_nodes, affected, new_edges)
-    return b.build(version=g.version + 1), delta
+    return b.build(g.version + 1, base=g), delta
 
 
 def diff_graphs(g_prev: TransactionGraph, g_next: TransactionGraph) -> GraphDelta:
@@ -438,21 +522,24 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     """Sort rows by timestamp and build one cumulative graph per fraction.
 
     Ties in timestamp keep input order so segmentation is deterministic.
-    Each returned graph is a successor version of the previous one.
+    Each returned graph is a successor version of the previous one. A
+    malformed row is named by its input record number, as ingest names it.
     """
     try:
-        rows = sorted(records, key=lambda r: int(r[3]))
+        order = sorted(range(len(records)), key=lambda i: int(records[i][3]))
     except (IndexError, TypeError, ValueError):
         # name the first bad row the way ingest would
         for i, record in enumerate(records):
             _coerce_record(record, f"record {i + 1}")
         raise
+    rows = [records[i] for i in order]
+    numbers = [i + 1 for i in order]
     sizes = segment_sizes(len(rows), initial_frac, step_frac)
     graphs = []
-    g = ingest_edges(rows[:sizes[0]])
+    g = ingest_edges(rows[:sizes[0]], numbers=numbers[:sizes[0]])
     graphs.append(g)
     for lo, hi in zip(sizes, sizes[1:]):
-        g, _ = apply_batch(g, rows[lo:hi])
+        g, _ = apply_batch(g, rows[lo:hi], numbers=numbers[lo:hi])
         graphs.append(g)
     return graphs
 

@@ -2,9 +2,9 @@
 
 Three strategies over the same interface:
 
-* unbiased: trim every walk that touches an affected node back to the
-  first such occurrence, then resample its remainder on the new graph;
-  generate fresh walks for new nodes. Untouched walks are reused as-is.
+* unbiased: resample every walk that touches an affected node on the new
+  graph; generate fresh walks for new nodes. Untouched walks are reused
+  as-is.
 * naive: only generate walks for new nodes; stale walks are kept.
 * scratch: regenerate the whole corpus with `generate_corpus` (the
   equivalence baseline).
@@ -17,10 +17,13 @@ out-neighbour count. Destinations and weight-only repeats do not. MH mode
 keeps every touched endpoint, which still misses nodes whose leap
 frontier or acceptance changed through edges further away.
 
-The resumed suffix of a trimmed walk is drawn by the same sampler that
-made the corpus, so its conditional distribution matches a fresh walk
-started at the resume point on the new graph; that is what keeps the
-updated corpus statistically interchangeable with a regenerated one.
+Draws are keyed by (seed, walk index, step), so a resampled walk draws
+what a walk generated from scratch on the new graph would. In uniform
+mode a walk is trimmed at its first affected node and resumed at that
+step index; its prefix ran through unchanged laws, so the updated corpus
+is `generate_corpus(g_next)` byte for byte. A leap walk's rejected steps
+leave no token, so a trimmed prefix does not say how many steps it took;
+an affected MH walk is regenerated whole from its key instead.
 """
 
 from __future__ import annotations
@@ -33,9 +36,7 @@ from .walks import (
     MODE_UNIFORM,
     WalkConfig,
     WalkCorpus,
-    fresh_walk_rng,
     make_sampler,
-    resume_rng,
 )
 
 
@@ -121,8 +122,8 @@ def unbiased_update(corpus: WalkCorpus, g_next: TransactionGraph,
     """Trim-and-resume update; returns a new corpus at g_next's version.
 
     Walks without affected nodes are carried over untouched (same tuple
-    objects). Resampling uses per-walk-index substreams keyed by the new
-    graph version, so the result is reproducible regardless of order.
+    objects). Resampled walks reuse their own keys, so in uniform mode the
+    result equals generate_corpus(g_next, cfg, mode).
     `plan`, if given, must be plan_update(corpus, delta, g_next); a caller
     that reports on the plan passes it so that it is computed once.
     """
@@ -143,17 +144,21 @@ def naive_update(corpus: WalkCorpus, g_next: TransactionGraph,
 
 def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
     """Copy the corpus to g_next's version: resample each affected walk
-    from its first affected node, then append fresh walks for new nodes."""
+    (uniform: from its first affected node; MH: whole), then append fresh
+    walks for new nodes, whose indices continue the corpus."""
     out = corpus.copy()
     sampler = make_sampler(g_next, cfg, mode)
-    for wi in sorted(plan.affected_walks):
-        prefix = trim_walk(corpus.walks[wi], plan.affected_nodes)
-        rng = resume_rng(cfg, g_next.version, wi)
-        out.replace_walk(wi, tuple(sampler.extend(list(prefix), rng)))
-    for u in sorted(plan.new_nodes):
-        for i in range(cfg.num_walks):
-            rng = fresh_walk_rng(cfg, u, i)
-            out.append_walk(tuple(sampler.extend([u], rng)))
+    affected = sorted(plan.affected_walks)
+    prefixes = None
+    if mode == MODE_UNIFORM:
+        prefixes = [trim_walk(corpus.walks[w], plan.affected_nodes)
+                    for w in affected]
+    for w, walk in zip(affected, sampler.walks(affected, prefixes)):
+        out.replace_walk(w, walk)
+    n = cfg.num_walks
+    for walk in sampler.walks([u * n + i for u in sorted(plan.new_nodes)
+                               for i in range(n)]):
+        out.append_walk(walk)
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:

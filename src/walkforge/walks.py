@@ -17,12 +17,21 @@ is directed, so returns are not guaranteed).
 A rejected step consumes walk budget but appends nothing: repeated tokens
 add no co-occurrence pairs and only inflate the corpus. Walks end early
 when the candidate set is empty (sink regions).
+
+Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
+walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
+position w * 2**32 + c + 1 of the stream the seed starts. A uniform
+walk's step s uses draw s; a leap walk's step s uses draws 2s (proposal)
+and 2s + 1 (acceptance). Any draw can be computed without the ones
+before it, so a walk resumed at step s on a newer graph draws exactly
+what a walk generated from scratch there would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +46,8 @@ WALKS_MAGIC = "WALKFORGE-WALKS v1"
 
 # explosion-guard fallback: retries of random h-step expansion per draw
 _FALLBACK_TRIES = 16
+# walks generated per lockstep block; bounds the walkers' scratch arrays
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -85,22 +96,36 @@ def check_mode(mode: str):
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _walk_rng(seed: int, *key) -> np.random.Generator:
-    """Independent substream for one walk; schedule-independent by design."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+# ---------------------------------------------------------------------------
+# Counter-keyed draws
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's stream increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31, _S32 = (np.uint64(k) for k in (11, 27, 30, 31, 32))
 
 
-def fresh_walk_rng(cfg: WalkConfig, node: int, walk_i: int) -> np.random.Generator:
-    """Stream for the walk_i-th walk originating at `node`."""
-    return _walk_rng(cfg.seed, node, walk_i)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function over a uint64 array (arithmetic wraps)."""
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
 
 
-def resume_rng(cfg: WalkConfig, version: int, walk_index: int) -> np.random.Generator:
-    """Stream for resampling corpus walk `walk_index` against graph `version`.
+def keyed_uniforms(seed: int, walk_ids, counters) -> np.ndarray:
+    """U[k, j] in [0, 1): draw number counters[j] of walk walk_ids[k].
 
-    The trailing constant keeps resume keys disjoint from fresh-walk keys.
+    It is SplitMix64's output at position w * 2**32 + c + 1 of the stream
+    that `seed` starts, so every (seed, walk, draw) has its own position
+    and any draw can be computed without the ones before it.
     """
-    return _walk_rng(cfg.seed, version, walk_index, 1)
+    state = _mix(np.array([seed & _MASK64], dtype=np.uint64))
+    pos = ((np.asarray(walk_ids, dtype=np.uint64) << _S32)[:, None]
+           + np.asarray(counters, dtype=np.uint64) + np.uint64(1))
+    z = _mix(state + pos * _GAMMA)
+    return (z >> _S11).astype(np.float64) * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +161,75 @@ def mh_acceptance(g: TransactionGraph, curr: int, v: int, cfg: WalkConfig) -> fl
 # Samplers
 # ---------------------------------------------------------------------------
 
-class UniformSampler:
-    """Classic out-neighbor random walk; the baseline corpus generator."""
-
-    mode = MODE_UNIFORM
+class _Sampler:
+    """Shared state of both walk modes: the graph version walked, the
+    config, and the candidate draws made."""
 
     def __init__(self, g: TransactionGraph, cfg: WalkConfig):
         self.g = g
         self.cfg = cfg
         self.draws = 0
 
-    def extend(self, walk: list, rng: np.random.Generator) -> list:
-        nbrs_of = self.g.out_neighbors
-        target = self.cfg.walk_length
-        while len(walk) < target:
-            nbrs = nbrs_of(walk[-1])
-            if not nbrs:
-                break
-            self.draws += 1
-            walk.append(nbrs[rng.integers(len(nbrs))])
-        return walk
+    def walks(self, walk_ids, prefixes=None) -> list:
+        """The walks with these corpus indices, in blocks. Walk w starts at
+        node w // num_walks; with `prefixes`, walk k instead continues
+        prefixes[k] from step len(prefixes[k]) - 1."""
+        out = []
+        for lo in range(0, len(walk_ids), _BLOCK):
+            hi = lo + _BLOCK
+            out += self._block(walk_ids[lo:hi],
+                               None if prefixes is None else prefixes[lo:hi])
+        return out
 
 
-class LeapSampler:
+class UniformSampler(_Sampler):
+    """Classic out-neighbor random walk; the baseline corpus generator.
+
+    All walks of a block advance in lockstep over the graph's CSR view:
+    step s of walk w moves to out-neighbour floor(U(w, s) * degree) of the
+    sorted neighbour list, or ends the walk at a sink.
+    """
+
+    mode = MODE_UNIFORM
+
+    def _block(self, walk_ids, prefixes) -> list:
+        csr = self.g.out_csr()
+        indptr, indices = csr.indptr, csr.indices
+        l = self.cfg.walk_length
+        ids = np.asarray(walk_ids, dtype=np.intp)
+        m = len(ids)
+        unif = keyed_uniforms(self.cfg.seed, ids, range(l - 1))
+        tok = np.zeros((m, l), dtype=np.intp)  # tok[k, s]: node after s steps
+        if prefixes is None:
+            start = np.zeros(m, dtype=np.intp)
+            tok[:, 0] = ids // self.cfg.num_walks
+        else:
+            start = np.fromiter(map(len, prefixes), dtype=np.intp, count=m) - 1
+            tok[np.arange(m), start] = [p[-1] for p in prefixes]
+        length = start + 1
+        by_start = np.argsort(start, kind="stable")
+        cuts = np.searchsorted(start[by_start], np.arange(l)).tolist()
+        act = by_start[:cuts[1]]  # walks that take step 0
+        for s in range(l - 1):
+            if s and cuts[s + 1] > cuts[s]:  # walks resuming at step s
+                act = np.concatenate([act, by_start[cuts[s]:cuts[s + 1]]])
+            cur = tok[act, s]
+            lo = indptr[cur]
+            deg = indptr[cur + 1] - lo
+            if not deg.all():  # walks at a sink end here
+                live = np.flatnonzero(deg)
+                act, lo, deg = act[live], lo[live], deg[live]
+            tok[act, s + 1] = indices[lo + (unif[act, s] * deg).astype(np.intp)]
+            length[act] = s + 2
+            self.draws += len(act)
+        rows = csr.tokens[tok].tolist()
+        ends = length.tolist()
+        if prefixes is None:
+            return [tuple(r[:e]) for r, e in zip(rows, ends)]
+        return [p + tuple(r[len(p):e]) for p, r, e in zip(prefixes, rows, ends)]
+
+
+class LeapSampler(_Sampler):
     """MH leap walker with per-node frontier and per-pair acceptance caches.
 
     Caches are valid for one immutable graph version.
@@ -167,9 +238,7 @@ class LeapSampler:
     mode = MODE_MH
 
     def __init__(self, g: TransactionGraph, cfg: WalkConfig):
-        self.g = g
-        self.cfg = cfg
-        self.draws = 0
+        super().__init__(g, cfg)
         cap = cfg.frontier_cap
         self._cap = 64 * cfg.hop if cap is None else cap
         self._frontiers = {}   # node -> g.capped_frontier(node, hop, cap)
@@ -182,22 +251,25 @@ class LeapSampler:
                 u, self.cfg.hop, self._cap)
         return ent
 
-    def _draw_beyond_ball(self, curr: int, ball, rng) -> int | None:
+    def _draw_beyond_ball(self, curr: int, ball, u_prop: float) -> int | None:
         """Guard path for oversized frontiers: random h-step forward
         expansion, rejecting landings inside the <h ball. Any survivor is
         at distance exactly h. Draws are approximate (path-multiplicity
         biased), which is the accepted trade for not materializing the
-        frontier."""
+        frontier. The expansion's uniforms are seeded by the step's proposal
+        uniform, so they too are a function of the walk's keyed draws."""
         nbrs_of = self.g.out_neighbors
         h = self.cfg.hop
+        us = iter(keyed_uniforms(int(u_prop * 2.0 ** 53), (0,),
+                                 range(h * _FALLBACK_TRIES))[0].tolist())
         for _ in range(_FALLBACK_TRIES):
             x = curr
-            for _ in range(h):
+            for u in islice(us, h):
                 nbrs = nbrs_of(x)
                 if not nbrs:
                     x = None
                     break
-                x = nbrs[rng.integers(len(nbrs))]
+                x = nbrs[int(u * len(nbrs))]
             if x is not None and x not in ball:
                 return x
         return None
@@ -210,34 +282,42 @@ class LeapSampler:
             self._alpha[key] = alpha
         return alpha
 
-    def step(self, curr: int, rng: np.random.Generator) -> int | None:
-        """One chain step: the accepted candidate, curr itself on rejection,
-        or None when the frontier is empty (the walk must stop)."""
+    def step(self, curr: int, u_prop: float, u_acc: float) -> int | None:
+        """One chain step on two uniforms in [0, 1): the accepted candidate,
+        curr itself on rejection, or None when the frontier is empty (the
+        walk must stop)."""
         frontier, ball = self._frontier(curr)
         if frontier is None:
             self.draws += 1
-            v = self._draw_beyond_ball(curr, ball, rng)
+            v = self._draw_beyond_ball(curr, ball, u_prop)
             if v is None:
                 return curr  # retries exhausted; step consumed
         else:
             if not frontier:
                 return None
             self.draws += 1
-            v = frontier[rng.integers(len(frontier))]
-        if rng.random() < self.acceptance(curr, v) + self.cfg.alpha_min:
+            v = frontier[int(u_prop * len(frontier))]
+        if u_acc < self.acceptance(curr, v) + self.cfg.alpha_min:
             return v
         return curr
 
-    def extend(self, walk: list, rng: np.random.Generator) -> list:
-        curr = walk[-1]
-        for _ in range(self.cfg.walk_length - len(walk)):
-            nxt = self.step(curr, rng)
-            if nxt is None:
-                break
-            if nxt != curr:
-                walk.append(nxt)
-                curr = nxt
-        return walk
+    def _block(self, walk_ids, prefixes) -> list:
+        n = self.cfg.num_walks
+        steps = self.cfg.walk_length - 1
+        draws = keyed_uniforms(self.cfg.seed, walk_ids, range(2 * steps)).tolist()
+        out = []
+        for k, (w, u) in enumerate(zip(walk_ids, draws)):
+            walk = [w // n] if prefixes is None else list(prefixes[k])
+            curr = walk[-1]
+            for s in range(len(walk) - 1, steps):
+                nxt = self.step(curr, u[2 * s], u[2 * s + 1])
+                if nxt is None:
+                    break
+                if nxt != curr:
+                    walk.append(nxt)
+                    curr = nxt
+            out.append(tuple(walk))
+        return out
 
 
 def make_sampler(g: TransactionGraph, cfg: WalkConfig, mode: str):
@@ -273,15 +353,16 @@ def leap_transition_matrix(g: TransactionGraph, cfg: WalkConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
-                rng, sampler=None) -> tuple:
+                walk_index: int, sampler=None) -> tuple:
     """Extend a walk prefix on (a possibly newer) graph until walk_length
-    or a sink. The prefix itself is never modified."""
+    or a sink, from step len(prefix) - 1 on, with the draws keyed by
+    (cfg.seed, walk_index). The prefix itself is never modified."""
     if not prefix:
         raise ConfigError("cannot resume an empty walk")
     g._check(prefix[-1])
     if sampler is None:
         sampler = make_sampler(g, cfg, mode)
-    return tuple(sampler.extend(list(prefix), rng))
+    return sampler.walks([walk_index], [tuple(prefix)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +444,15 @@ def generate_corpus(g: TransactionGraph, cfg: WalkConfig, mode: str,
                     counter=None) -> WalkCorpus:
     """n walks per node, every node an origin (sinks yield length-1 walks).
 
-    Each walk runs on its own rng substream keyed by (seed, node, walk
-    index), so the fresh walks an update draws for a new node are that
-    node's walks in a corpus generated from scratch.
+    Walk w = u*n + i is the i-th walk from node u, and its draws are keyed
+    by (seed, w), so the walks an update draws for a node are that node's
+    walks in a corpus generated from scratch.
     """
     check_mode(mode)
     if g.num_nodes == 0:
         raise InputError("cannot generate walks on an empty graph")
     sampler = make_sampler(g, cfg, mode)
-    walks = [tuple(sampler.extend([u], fresh_walk_rng(cfg, u, i)))
-             for u in g.nodes() for i in range(cfg.num_walks)]
+    walks = sampler.walks(range(g.num_nodes * cfg.num_walks))
     if counter is not None:
         counter.draws += sampler.draws
     return WalkCorpus(walks, g.version, cfg.num_walks, cfg.walk_length, mode,

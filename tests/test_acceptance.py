@@ -31,7 +31,7 @@ from walkforge.cli import main
 from walkforge.graph import segment_sizes
 from walkforge.incremental import DrawCounter, naive_update, unbiased_update
 from walkforge.synth import preferential_attachment_stream, sbm_stream, sink_heavy_stream
-from walkforge.walks import LeapSampler, make_sampler, _walk_rng
+from walkforge.walks import LeapSampler, make_sampler
 from conftest import rows_from_edges, uniform_walk
 
 
@@ -162,10 +162,11 @@ def test_criterion_03_mh_chain_exactness():
             counts = np.zeros((g.num_nodes, g.num_nodes))
             sampler = LeapSampler(g, cfg)
             curr = 0
-            for _ in range(10**6):
-                nxt = sampler.step(curr, rng)
-                counts[curr, nxt] += 1
-                curr = nxt
+            for _ in range(10):
+                for u_prop, u_acc in rng.random((10**5, 2)).tolist():
+                    nxt = sampler.step(curr, u_prop, u_acc)
+                    counts[curr, nxt] += 1
+                    curr = nxt
             empirical = counts / counts.sum(axis=1, keepdims=True)
             assert np.isfinite(empirical).all()
             worst = max(worst, float(np.abs(empirical - P).max()))
@@ -396,9 +397,10 @@ def test_criterion_10_suffix_unbiasedness():
     for node in g.nodes():
         fresh, resumed = Counter(), Counter()
         for i in range(samples):
-            fresh[uniform_walk(g, node, cfg.walk_length, _walk_rng(71, node, i))] += 1
-            resumed[resume_walk(g, (node,), cfg, "uniform",
-                                _walk_rng(72, node, i), sampler=sampler)] += 1
+            rng = np.random.default_rng(np.random.SeedSequence(71, spawn_key=(node, i)))
+            fresh[uniform_walk(g, node, cfg.walk_length, rng)] += 1
+            resumed[resume_walk(g, (node,), cfg, "uniform", node * samples + i,
+                                sampler=sampler)] += 1
         p_values.append(float(chi2_two_sample(fresh, resumed)))
     accepted = sum(1 for p in p_values if p > 0.01)
     verdict(10, "suffix distribution unbiasedness", accepted >= 4,

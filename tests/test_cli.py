@@ -100,6 +100,22 @@ def test_segment_bad_timestamp_exits_2_with_location(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_segment_names_bad_rows_by_input_record(tmp_path, capsys):
+    path = tmp_path / "edges.csv"
+    # the bad row sorts first, by its timestamp
+    path.write_text("src,dst,value,timestamp\na,b,1.0,5\nb,c,abc,0\n")
+    assert main(["segment", str(path), "--outdir", str(tmp_path / "s1")]) == 2
+    assert "record 2: value 'abc' is not a number" in capsys.readouterr().err
+    assert main(["ingest", str(path), "--out", str(tmp_path / "g.wfg")]) == 2
+    assert "record 2: value 'abc' is not a number" in capsys.readouterr().err
+    # the bad row is the second row of the second segment's batch
+    path.write_text("src,dst,value,timestamp\na,b,1.0,0\nb,c,1.0,1\n"
+                    "c,d,1.0,2\nd,e,abc,3\n")
+    assert main(["segment", str(path), "--outdir", str(tmp_path / "s2"),
+                 "--initial", "0.5", "--step", "0.5"]) == 2
+    assert "record 4: value 'abc' is not a number" in capsys.readouterr().err
+
+
 def test_segment_respects_workdir_lock(tmp_path, edges_csv):
     outdir = tmp_path / "segs"
     outdir.mkdir()

@@ -47,11 +47,13 @@ def test_empirical_matches_pairwise_scan_oracle():
     walks = [tuple(int(x) for x in rng.integers(0, 15, size=rng.integers(1, 6)))
              for _ in range(200)]
     table = empirical_transitions(corpus_of(walks, 15))
-    oracle = {}
+    oracle, totals = {}, {}
     for w in walks:
         for i in range(len(w) - 1):
             oracle[(w[i], w[i + 1])] = oracle.get((w[i], w[i + 1]), 0) + 1
+            totals[w[i]] = totals.get(w[i], 0) + 1
     assert table.counts == oracle
+    assert table.row_totals == totals
 
 
 def test_empirical_rows_normalize():

@@ -297,6 +297,26 @@ def test_append_only_growth(base, batch):
         assert e2 is not None and e2.weight >= e.weight and e2.count >= e.count
 
 
+@given(base=edge_lists, batches=st.lists(edge_lists, min_size=1, max_size=3))
+def test_out_csr_splice_matches_sorted_adjacency(base, batches):
+    # batch ids run to 18, so batches also bring new nodes
+    g = ingest_edges(rows_from_edges(base))
+    g.out_csr()
+    ts = 10_000
+    for batch in batches:
+        g, _ = apply_batch(g, [(f"n{2 * u}", f"n{2 * v}", w, ts + i)
+                               for i, (u, v, w) in enumerate(batch)])
+        ts += len(batch)
+        assert g._csr_base is not None  # derived from the parent's view
+        csr = g.out_csr()
+        assert len(csr.indptr) == g.num_nodes + 1
+        assert csr.indptr[-1] == g.num_edges
+        for u in g.nodes():
+            row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()
+            assert tuple(row) == g.out_neighbors(u)
+        assert csr.tokens.tolist() == list(g.nodes())
+
+
 @given(base=edge_lists, batch=edge_lists)
 def test_delta_replay_reproduces_next_version(base, batch):
     g = ingest_edges(rows_from_edges(base))

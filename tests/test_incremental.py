@@ -9,6 +9,7 @@ from walkforge import (
     DrawCounter,
     ModeMismatchError,
     StateMismatchError,
+    UpdatePlan,
     VersionMismatchError,
     WalkConfig,
     apply_batch,
@@ -138,6 +139,23 @@ def test_uniform_plan_is_exactly_the_changed_laws(case):
     assert plan_update(mh, delta, g2).affected_nodes == delta.affected_nodes
 
 
+@given(graph_and_batch(), st.integers(0, 2**32))
+def test_uniform_update_is_regeneration(case, seed):
+    """Keyed draws make the uniform update exact: resampled walks draw
+    what regeneration draws, so any gap in the plan is a byte diff."""
+    base, batch = case
+    g = ingest_edges(rows_from_edges(base))
+    cfg = WalkConfig(num_walks=3, walk_length=6, seed=seed)
+    corpus = generate_corpus(g, cfg, "uniform")
+    g2, delta = apply_batch(g, [(f"n{u}", f"n{v}", 1.0, 10_000 + i)
+                                for i, (u, v) in enumerate(batch)])
+    scratch = generate_corpus(g2, cfg, "uniform")
+    for d in (delta, diff_graphs(g, g2)):
+        updated = unbiased_update(corpus, g2, d, cfg, "uniform")
+        assert updated.walks == scratch.walks
+        assert updated.node_index == scratch.node_index
+
+
 def test_trim_walk_cases():
     assert trim_walk((10, 11, 12, 11), {11}) == (10, 11)
     assert trim_walk((11, 12), {11}) == (11,)
@@ -230,6 +248,23 @@ def test_unbiased_update_works_in_mh_mode():
     for walk in updated.walks:
         for a, b in zip(walk, walk[1:]):
             assert g2.shortest_hop(a, b, cap=2) == 2 or g.shortest_hop(a, b, cap=2) == 2
+
+
+@pytest.mark.parametrize("mode", ["uniform", "mh"])
+def test_resampling_on_unchanged_graph_keeps_corpus(mode):
+    """Resampling walks whose laws did not change must change nothing. In
+    MH mode a trimmed prefix hides its rejected steps, so a resumed walk
+    got extra step budget (Bias B); regenerating it whole from its key
+    replays it exactly."""
+    g = ingest_edges(random_rows(300, 1200, seed=17))
+    cfg = WalkConfig(num_walks=10, walk_length=10, hop=2, alpha_min=0.0, seed=3)
+    corpus = generate_corpus(g, cfg, mode)
+    g2, delta = apply_batch(g, [])
+    marked = frozenset(range(0, g.num_nodes, 3))
+    plan = UpdatePlan(frozenset(walks_through(corpus, marked)), frozenset(), marked)
+    assert plan.affected_walks
+    updated = unbiased_update(corpus, g2, delta, cfg, mode, plan=plan)
+    assert updated.walks == corpus.walks
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -130,7 +130,7 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
     g = ingest_edges(rows)
     cfg = WalkConfig(walk_length=5, hop=2, alpha_min=1.0, seed=3)
     for u in list(g.nodes())[:5]:
-        walk = resume_walk(g, (u,), cfg, "mh", rng_(u))
+        walk = resume_walk(g, (u,), cfg, "mh", u)
         # accepted every step: full length unless a frontier emptied
         if len(walk) < 5:
             assert not g.h_hop_frontier(walk[-1], 2)
@@ -139,7 +139,7 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
 def test_mh_walk_sink_chain():
     g = ingest_edges([("a", "b", 1.0, 0)])
     cfg = WalkConfig(walk_length=5, hop=1, alpha_min=1.0)
-    assert resume_walk(g, (g.id_of("a"),), cfg, "mh", rng_()) == (0, 1)
+    assert resume_walk(g, (g.id_of("a"),), cfg, "mh", 0) == (0, 1)
 
 
 def test_mh_walk_consecutive_pairs_at_exact_hop():
@@ -160,7 +160,7 @@ def test_mh_walk_step_budget():
     sampler = LeapSampler(g, cfg)
     for u in g.nodes():
         before = sampler.draws
-        sampler.extend([u], rng_(u))
+        resume_walk(g, (u,), cfg, "mh", u, sampler=sampler)
         assert sampler.draws - before <= cfg.walk_length - 1
 
 
@@ -174,8 +174,8 @@ def test_chain_step_frequencies_match_exact_matrix_small():
     rng = rng_(11)
     counts = np.zeros((6, 6))
     curr = 0
-    for _ in range(100_000):
-        nxt = sampler.step(curr, rng)
+    for u_prop, u_acc in rng.random((100_000, 2)).tolist():
+        nxt = sampler.step(curr, u_prop, u_acc)
         counts[curr, nxt] += 1
         curr = nxt
     emp = counts / counts.sum(axis=1, keepdims=True)
@@ -199,8 +199,8 @@ def test_frontier_guard_samples_exact_distance():
     sampler = LeapSampler(g, cfg)
     rng = rng_(9)
     seen = set()
-    for _ in range(300):
-        nxt = sampler.step(0, rng)
+    for u_prop, u_acc in rng.random((300, 2)).tolist():
+        nxt = sampler.step(0, u_prop, u_acc)
         assert nxt is not None and nxt != 0
         assert g.shortest_hop(0, nxt, cap=1) == 1
         seen.add(nxt)
@@ -255,19 +255,19 @@ def test_empty_graph_rejected():
 def test_resume_full_prefix_unchanged():
     g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
     cfg = WalkConfig(walk_length=3)
-    assert resume_walk(g, (0, 1, 2), cfg, "uniform", rng_()) == (0, 1, 2)
+    assert resume_walk(g, (0, 1, 2), cfg, "uniform", 0) == (0, 1, 2)
 
 
 def test_resume_forced_path():
     g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
     cfg = WalkConfig(walk_length=3)
-    assert resume_walk(g, (0,), cfg, "uniform", rng_()) == (0, 1, 2)
+    assert resume_walk(g, (0,), cfg, "uniform", 0) == (0, 1, 2)
 
 
 def test_resume_empty_prefix_rejected():
     g = ingest_edges([("a", "b", 1.0, 0)])
     with pytest.raises(ConfigError):
-        resume_walk(g, (), WalkConfig(), "uniform", rng_())
+        resume_walk(g, (), WalkConfig(), "uniform", 0)
 
 
 def chi2_two_sample(counts_a, counts_b, min_expected=5.0):
@@ -298,7 +298,7 @@ def test_resumed_suffix_distribution_matches_truncated_fresh_walks():
     budget = cfg.walk_length - 2  # two-node prefix
     resumed, fresh = Counter(), Counter()
     for i in range(8_000):
-        w = resume_walk(g, (0, x), cfg, "uniform", rng_(2 * i), sampler=sampler)
+        w = resume_walk(g, (0, x), cfg, "uniform", i, sampler=sampler)
         resumed[w[1:]] += 1
         f = uniform_walk(g, x, budget + 1, rng_(2 * i + 1))
         fresh[f] += 1
