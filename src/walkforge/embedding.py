@@ -12,7 +12,6 @@ bit-for-bit reproducible for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -69,14 +68,6 @@ class EmbeddingMatrix:
             raise UnknownNodeError(f"node {u} has no embedding row")
 
 
-def _flatten(walks):
-    """The walks as one token array plus the length of each walk."""
-    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
-    tokens = np.fromiter(chain.from_iterable(walks), dtype=np.intp,
-                         count=int(lengths.sum()))
-    return tokens, lengths
-
-
 def context_pairs(corpus: WalkCorpus, window: int, min_count: int = 1) -> np.ndarray:
     """All (center, context) pairs within the window, in corpus order.
 
@@ -86,7 +77,7 @@ def context_pairs(corpus: WalkCorpus, window: int, min_count: int = 1) -> np.nda
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    tokens, lengths = _flatten(corpus.walks)
+    tokens, lengths = corpus.flat_tokens()
     if min_count > 1:
         keep = (np.bincount(tokens, minlength=corpus.num_nodes) >= min_count)[tokens]
         walk_of = np.repeat(np.arange(len(lengths)), lengths)
@@ -208,7 +199,7 @@ def _scatter_add(mat, idx, vals, scale=1.0, max_hits=None):
 # ---------------------------------------------------------------------------
 
 def _node_frequencies(corpus: WalkCorpus) -> np.ndarray:
-    return np.bincount(_flatten(corpus.walks)[0], minlength=corpus.num_nodes)
+    return np.bincount(corpus.flat_tokens()[0], minlength=corpus.num_nodes)
 
 
 def _noise_cdf(freq: np.ndarray) -> np.ndarray:

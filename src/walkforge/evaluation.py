@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, InputError, ModeMismatchError
 from .graph import TransactionGraph
 from .walks import MODE_UNIFORM, WalkCorpus
-from .embedding import EmbeddingMatrix, _flatten
+from .embedding import EmbeddingMatrix
 
 
 @dataclass
@@ -43,7 +43,7 @@ class TransitionTable:
 def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
     if not corpus.walks:
         raise ValueError("corpus has no walks")
-    tokens, lengths = _flatten(corpus.walks)
+    tokens, lengths = corpus.flat_tokens()
     width = int(tokens.max()) + 1
     has_next = np.ones(len(tokens) - 1, dtype=bool)
     has_next[np.cumsum(lengths[:-1]) - 1] = False  # a walk's last token

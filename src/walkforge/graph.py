@@ -83,7 +83,7 @@ class TransactionGraph:
     """
 
     def __init__(self, addresses, ids, out, d_in, v_in, v_out, freq,
-                 version, max_timestamp, csr_base=None):
+                 num_edges, version, max_timestamp, csr_base=None):
         self._addresses = addresses
         self._ids = ids
         self._out = out  # list[dict[dst, TxEdge]]
@@ -93,7 +93,7 @@ class TransactionGraph:
         self._freq = freq
         self.version = version
         self.max_timestamp = max_timestamp
-        self._num_edges = sum(len(d) for d in out)
+        self.num_edges = num_edges
         self._nbrs_out = [None] * len(addresses)
         self._csr = None
         # (parent's OutCSR, sorted old sources that gained an out-neighbour)
@@ -104,10 +104,6 @@ class TransactionGraph:
     @property
     def num_nodes(self) -> int:
         return len(self._addresses)
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
 
     def nodes(self) -> range:
         return range(len(self._addresses))
@@ -292,6 +288,7 @@ class _Builder:
             self.v_in = []
             self.v_out = []
             self.freq = []
+            self.num_edges = 0
             self.max_ts = None
         else:
             self.addresses = list(base._addresses)
@@ -302,6 +299,7 @@ class _Builder:
             self.v_in = list(base._v_in)
             self.v_out = list(base._v_out)
             self.freq = list(base._freq)
+            self.num_edges = base.num_edges
             self.max_ts = base.max_timestamp
         self._base_n = len(self.addresses)
         self._copied_out = set()
@@ -332,6 +330,7 @@ class _Builder:
         if prev is None:
             out_d[d] = TxEdge(s, d, weight, ts, count)
             self.d_in[d] += 1
+            self.num_edges += 1
             if s < self._base_n:
                 self.gained.add(s)
         else:
@@ -354,7 +353,7 @@ class _Builder:
             csr_base = (base._csr, sorted(self.gained))
         return TransactionGraph(self.addresses, self.ids, self.out, self.d_in,
                                 self.v_in, self.v_out, self.freq,
-                                version, self.max_ts, csr_base)
+                                self.num_edges, version, self.max_ts, csr_base)
 
 
 def _coerce_record(record, where: str):
@@ -590,7 +589,6 @@ def load_graph(path) -> TransactionGraph:
     b = _Builder()
     version = 0
     max_ts = None
-    n_edges = 0
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().rstrip("\n")
         parts = head.split()
@@ -619,15 +617,14 @@ def load_graph(path) -> TransactionGraph:
                     s, d = int(fields[1]), int(fields[2])
                     w, ts, c = float(fields[3]), int(fields[4]), int(fields[5])
                     b.add(s, d, w, ts, c)
-                    n_edges += 1
                 else:
                     raise ParseError(f"{path}:{line_no}: unknown tag {tag!r}")
             except (IndexError, ValueError):
                 raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
-    if declared_nodes != len(b.addresses) or declared_edges != n_edges:
+    if declared_nodes != len(b.addresses) or declared_edges != b.num_edges:
         raise ParseError(
             f"{path}: header declares nodes={declared_nodes} edges={declared_edges} "
-            f"but file has {len(b.addresses)}/{n_edges}")
+            f"but file has {len(b.addresses)}/{b.num_edges}")
     # aggregated edges keep earliest timestamps, so the true high-water mark
     # only survives through the maxts line
     b.max_ts = max_ts

@@ -58,7 +58,7 @@ class UpdatePlan:
 
 def plan_update(corpus: WalkCorpus, delta: GraphDelta,
                 g_next: TransactionGraph) -> UpdatePlan:
-    """Resolve the delta against the corpus via the node index only.
+    """Resolve the delta against the corpus with one scan of its tokens.
 
     A uniform corpus is affected at the old sources of structurally new
     edges. A delta row is new iff its count is the edge's whole count in
@@ -73,11 +73,8 @@ def plan_update(corpus: WalkCorpus, delta: GraphDelta,
             and g_next.edge(e.src, e.dst).count == e.count)
     else:
         affected_nodes = delta.affected_nodes
-    affected_walks = set()
-    for u in affected_nodes:
-        affected_walks |= corpus.walks_containing(u)
-    return UpdatePlan(frozenset(affected_walks), delta.new_nodes,
-                      affected_nodes)
+    return UpdatePlan(frozenset(corpus.walks_containing(affected_nodes)),
+                      delta.new_nodes, affected_nodes)
 
 
 def trim_walk(walk, affected_nodes) -> tuple:
@@ -153,12 +150,10 @@ def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
     if mode == MODE_UNIFORM:
         prefixes = [trim_walk(corpus.walks[w], plan.affected_nodes)
                     for w in affected]
-    for w, walk in zip(affected, sampler.walks(affected, prefixes)):
-        out.replace_walk(w, walk)
+    out.replace_walks(affected, sampler.walks(affected, prefixes))
     n = cfg.num_walks
-    for walk in sampler.walks([u * n + i for u in sorted(plan.new_nodes)
-                               for i in range(n)]):
-        out.append_walk(walk)
+    out.append_walks(sampler.walks([u * n + i for u in sorted(plan.new_nodes)
+                                    for i in range(n)]))
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:

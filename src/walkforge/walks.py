@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -370,16 +370,16 @@ def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
 # ---------------------------------------------------------------------------
 
 class WalkCorpus:
-    """A set of walks plus the inverted node -> walk-indices index.
+    """A set of walks plus their token matrix.
 
-    Copies share the index's per-node sets copy-on-write: a corpus copies a
-    set the first time it writes to it, unless it already owns it. `copy`
-    clears the owned set of both sides, so a set reachable from two corpora
-    is never written in place.
+    `tokens` is an int32 (walks, width) matrix whose row i is walk i padded
+    with -1; width is l, or the longest walk if that is longer. `walks`
+    holds the same walks as tuples. The matrix is the corpus's only derived
+    structure, and this class the only code that knows its layout.
     """
 
     def __init__(self, walks, graph_version: int, n: int, l: int, mode: str,
-                 num_nodes: int, node_index=None):
+                 num_nodes: int, tokens=None):
         check_mode(mode)
         self.walks = walks
         self.graph_version = graph_version
@@ -387,49 +387,50 @@ class WalkCorpus:
         self.l = l
         self.mode = mode
         self.num_nodes = num_nodes
-        self.node_index = build_node_index(walks) if node_index is None else node_index
-        self._owned = set()  # nodes whose index set no other corpus holds
+        self.tokens = _pad(walks, l) if tokens is None else tokens
 
     def __len__(self) -> int:
         return len(self.walks)
 
-    def walks_containing(self, u: int) -> set:
-        return self.node_index.get(u, set())
+    @property
+    def node_index(self) -> dict:
+        """node -> indices of the walks through it, read off the matrix."""
+        index = build_node_index(self.tokens.tolist())
+        index.pop(-1, None)
+        return index
+
+    def walks_containing(self, nodes) -> list:
+        """Sorted indices of the walks that pass through any of the nodes."""
+        nodes = np.fromiter(nodes, dtype=np.int32)
+        return np.flatnonzero(np.isin(self.tokens, nodes).any(axis=1)).tolist()
+
+    def flat_tokens(self) -> tuple:
+        """(every token as intp, length of each walk), in corpus order."""
+        real = self.tokens >= 0
+        return self.tokens[real].astype(np.intp), real.sum(axis=1)
 
     def copy(self) -> "WalkCorpus":
-        """O(#walks + #nodes): the walk list and the outer index dict are
-        copied, the per-node sets are shared until first written."""
-        self._owned = set()
         return WalkCorpus(list(self.walks), self.graph_version, self.n,
                           self.l, self.mode, self.num_nodes,
-                          node_index=dict(self.node_index))
+                          tokens=self.tokens.copy())
 
-    def _writable(self, u: int) -> set:
-        entry = self.node_index.get(u)
-        if entry is None:
-            entry = self.node_index[u] = set()
-        elif u not in self._owned:
-            entry = self.node_index[u] = set(entry)
-        self._owned.add(u)
-        return entry
+    def replace_walks(self, ids, walks):
+        for i, walk in zip(ids, walks):
+            self.walks[i] = walk
+        self.tokens[np.asarray(ids, dtype=np.intp)] = _pad(walks, self.tokens.shape[1])
 
-    def replace_walk(self, i: int, new_walk: tuple):
-        old_nodes = set(self.walks[i])
-        new_nodes = set(new_walk)
-        for u in old_nodes - new_nodes:
-            entry = self._writable(u)
-            entry.discard(i)
-            if not entry:
-                del self.node_index[u]
-        for u in new_nodes - old_nodes:
-            self._writable(u).add(i)
-        self.walks[i] = new_walk
+    def append_walks(self, walks):
+        self.walks += walks
+        self.tokens = np.concatenate([self.tokens, _pad(walks, self.tokens.shape[1])])
 
-    def append_walk(self, walk: tuple):
-        i = len(self.walks)
-        self.walks.append(walk)
-        for u in set(walk):
-            self._writable(u).add(i)
+
+def _pad(walks, width: int) -> np.ndarray:
+    """The walks as int32 rows padded with -1 to `width` or the longest walk."""
+    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
+    out = np.full((len(walks), max(width, lengths.max(initial=0))), -1, dtype=np.int32)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(walks), dtype=np.int32, count=int(lengths.sum()))
+    return out
 
 
 def build_node_index(walks) -> dict:
@@ -495,14 +496,29 @@ def load_corpus(path) -> WalkCorpus:
             raise ParseError(f"{path}:1: malformed header {head!r}") from None
         if mode not in MODES:
             raise ParseError(f"{path}:1: unknown mode {mode!r}")
+        if n < 1 or l < 2:
+            raise ParseError(f"{path}:1: need n >= 1 and l >= 2, got n={n} l={l}")
         walks = []
+        line_no = 1
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
             try:
-                walks.append(tuple(int(x) for x in fields))
+                walk = tuple(int(x) for x in fields)
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: non-integer node id") from None
+            if min(walk) < 0:
+                raise ParseError(f"{path}:{line_no}: negative node id {min(walk)}")
+            if len(walk) > l:
+                raise ParseError(f"{path}:{line_no}: walk of {len(walk)} nodes "
+                                 f"is longer than l={l}")
+            if walk[0] != len(walks) // n:
+                raise ParseError(f"{path}:{line_no}: walk {len(walks)} starts at "
+                                 f"node {walk[0]}, not {len(walks) // n}")
+            walks.append(walk)
     num_nodes = 1 + max((max(w) for w in walks), default=-1)
+    if len(walks) != n * num_nodes:
+        raise ParseError(f"{path}:{line_no}: {len(walks)} walks, but n={n} "
+                         f"walks from each of {num_nodes} nodes make {n * num_nodes}")
     return WalkCorpus(walks, version, n, l, mode, num_nodes)

@@ -308,6 +308,40 @@ def test_eval_mae_rejects_mh_corpus(tmp_path, graph_file):
                  "--graph", str(graph_file)]) == 3
 
 
+def test_corpus_file_validation_exits_2_with_location(tmp_path, capsys):
+    """A corpus file must hold n walks of at most l nodes from each node, in
+    node order; walk i is keyed as the (i % n)-th walk from node i // n."""
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [("a", "b", 1.0, 0), ("b", "a", 1.0, 1)])
+    graph = tmp_path / "g.wfg"
+    main(["ingest", str(edges), "--out", str(graph)])
+    head = "WALKFORGE-WALKS v1 graph_version=0 n=2 l=3 mode=uniform"
+    good = ["0 1 0", "0 1 0", "1 0 1", "1 0 1"]
+    cases = [
+        ("n=0", [head.replace("n=2", "n=0")] + good, 1),
+        ("l=1", [head.replace("l=3", "l=1")] + good, 1),
+        ("negative origin", [head, "-1 0 1"] + good[1:], 2),
+        ("negative id", [head, good[0], "0 -1 0"] + good[2:], 3),
+        ("too long", [head, good[0], "0 1 0 1"] + good[2:], 3),
+        ("walk deleted", [head] + good[1:], 3),
+        ("walks reordered", [head, good[0], good[2], good[1], good[3]], 3),
+        ("short count", [head] + good[:3], 4),
+        ("node without walks", [head] + good[:3] + ["1 0 2"], 5),
+    ]
+    corpus = tmp_path / "c.wfw"
+    out = tmp_path / "emb.txt"
+    corpus.write_text("\n".join([head] + good) + "\n")
+    assert main(["eval", "mae", "--corpus", str(corpus), "--graph", str(graph)]) == 0
+    for name, lines, line_no in cases:
+        corpus.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", str(corpus), "--out", str(out)]) == 2, name
+        assert f"c.wfw:{line_no}:" in capsys.readouterr().err, name
+        assert not out.exists()
+        assert main(["eval", "mae", "--corpus", str(corpus),
+                     "--graph", str(graph)]) == 2, name
+
+
 def test_eval_classify_missing_labels(tmp_path, sbm_workdir):
     _, graph, _ = sbm_workdir
     corpus = tmp_path / "c.wfw"

@@ -347,6 +347,7 @@ def test_cached_stats_equal_brute_force(tmp_path_factory, edges, batch):
     path = tmp_path_factory.mktemp("dump") / "g.wfg"
     save_graph(g2, path)
     for graph in (g, g2, load_graph(path)):
+        assert graph.num_edges == len(list(graph.edges()))
         for u in graph.nodes():
             for kind, val in brute_force_stats(graph, u).items():
                 assert graph.node_stat(u, kind) == pytest.approx(val)

@@ -55,6 +55,13 @@ def walks_through(corpus, nodes) -> set:
     return {i for i, w in enumerate(corpus.walks) if set(w) & set(nodes)}
 
 
+def assert_rows_are_padded_walks(corpus):
+    width = corpus.tokens.shape[1]
+    assert corpus.tokens.shape == (len(corpus), width)
+    for row, walk in zip(corpus.tokens.tolist(), corpus.walks):
+        assert row == list(walk) + [-1] * (width - len(walk))
+
+
 # ---------------------------------------------------------------------------
 # planning and trimming
 # ---------------------------------------------------------------------------
@@ -153,6 +160,7 @@ def test_uniform_update_is_regeneration(case, seed):
     for d in (delta, diff_graphs(g, g2)):
         updated = unbiased_update(corpus, g2, d, cfg, "uniform")
         assert updated.walks == scratch.walks
+        assert np.array_equal(updated.tokens, scratch.tokens)
         assert updated.node_index == scratch.node_index
 
 
@@ -250,6 +258,23 @@ def test_unbiased_update_works_in_mh_mode():
             assert g2.shortest_hop(a, b, cap=2) == 2 or g.shortest_hop(a, b, cap=2) == 2
 
 
+def test_chained_mh_updates_keep_token_rows():
+    """Three updates in a row, each replacing and appending walks, leave
+    every row of the token matrix equal to its walk padded with -1."""
+    g = ingest_edges(random_rows(40, 150, seed=21))
+    cfg = WalkConfig(num_walks=2, walk_length=6, hop=2, seed=9)
+    corpus = generate_corpus(g, cfg, "mh")
+    assert_rows_are_padded_walks(corpus)
+    for k in range(3):
+        g2, delta = apply_batch(g, [(f"n{k}", f"n{60 + k}", 1.0, 70_000 + 2 * k),
+                                    (f"n{60 + k}", f"n{k + 5}", 1.0, 70_001 + 2 * k)])
+        updated = unbiased_update(corpus, g2, delta, cfg, "mh")
+        assert plan_update(corpus, delta, g2).affected_walks
+        assert len(updated) == len(corpus) + cfg.num_walks
+        assert_rows_are_padded_walks(updated)
+        g, corpus = g2, updated
+
+
 @pytest.mark.parametrize("mode", ["uniform", "mh"])
 def test_resampling_on_unchanged_graph_keeps_corpus(mode):
     """Resampling walks whose laws did not change must change nothing. In
@@ -286,11 +311,12 @@ def test_mh_update_first_steps_match_new_frontier():
     assert chisquare([first[v] for v in frontier]).pvalue > 0.01
 
 
-def test_copy_on_write_keeps_parent_and_siblings_apart():
+def test_updated_copies_are_independent():
     g = ingest_edges(random_rows(40, 150, seed=14))
     cfg = WalkConfig(num_walks=3, walk_length=5, seed=12)
     parent = generate_corpus(g, cfg, "uniform")
     walks_before = list(parent.walks)
+    tokens_before = parent.tokens.copy()
     g_a, delta_a = apply_batch(g, [("n1", "n50", 1.0, 90_000),
                                    ("n2", "n3", 1.0, 90_001)])
     g_b, delta_b = apply_batch(g, [("n4", "n51", 1.0, 90_000),
@@ -305,7 +331,9 @@ def test_copy_on_write_keeps_parent_and_siblings_apart():
     grandchild = unbiased_update(child_a, g_c, delta_c, cfg, "uniform")
     for c in (child_a, child_b, naive, grandchild):
         assert c.node_index == build_node_index(c.walks)
+        assert_rows_are_padded_walks(c)
     assert parent.walks == walks_before
+    assert np.array_equal(parent.tokens, tokens_before)
     assert parent.node_index == build_node_index(parent.walks)
 
 

@@ -217,7 +217,7 @@ def test_corpus_counts_and_origins():
     assert len(corpus) == 6
     assert [w[0] for w in corpus.walks] == [0, 0, 1, 1, 2, 2]
     for u in g.nodes():
-        assert corpus.walks_containing(u)
+        assert corpus.walks_containing([u])
 
 
 def test_corpus_seed_determinism():
