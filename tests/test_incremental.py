@@ -311,7 +311,7 @@ def test_mh_update_first_steps_match_new_frontier():
     assert chisquare([first[v] for v in frontier]).pvalue > 0.01
 
 
-def test_updated_copies_are_independent():
+def test_copy_on_write_keeps_parent_and_siblings_apart():
     g = ingest_edges(random_rows(40, 150, seed=14))
     cfg = WalkConfig(num_walks=3, walk_length=5, seed=12)
     parent = generate_corpus(g, cfg, "uniform")
