@@ -270,6 +270,8 @@ def cmd_update(args) -> int:
         "affected_nodes": len(plan.affected_nodes),
         "affected_walks": len(plan.affected_walks),
         "candidate_draws": counter.draws,
+        "frontier_overflows": counter.overflows,
+        "fallback_exhausted": counter.exhausted,
         "corpus_walks": len(updated),
         "wall_time_s": time.perf_counter() - t0,
     }

@@ -42,13 +42,13 @@ class TxEdge:
 
 
 @dataclass(frozen=True)
-class OutCSR:
-    """The sorted out-adjacency of one version as arrays.
+class CSR:
+    """One direction of the sorted adjacency of one version, as arrays.
 
-    The out-neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, in
+    The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, in
     ascending order. `tokens[u]` is node id u as one int object shared by
-    every walk built from this view, so a corpus holds one object per node
-    rather than one per token.
+    every walk built from this version, so a corpus holds one object per
+    node rather than one per token.
     """
 
     indptr: np.ndarray
@@ -75,11 +75,12 @@ class TransactionGraph:
     """Immutable snapshot of the transaction graph at one version.
 
     Each edge is stored once, in a per-source dict keyed by destination;
-    sorted neighbor tuples and the CSR view are materialized lazily and
-    memoized. Per-node value, frequency and in-degree stats are maintained
-    incrementally so `node_stat` is O(1). The graph owns every traversal
-    of its adjacency, the leap sampler's capped frontier BFS included, so
-    no other module depends on the layout.
+    sorted neighbor tuples and the out- and in-edge CSR views are
+    materialized lazily and memoized. Per-node value, frequency and
+    in-degree stats are maintained incrementally so `node_stat` is O(1).
+    The graph owns every traversal of its adjacency, the leap sampler's
+    capped frontier BFS and upstream BFS included, so no other module
+    depends on the layout.
     """
 
     def __init__(self, addresses, ids, out, d_in, v_in, v_out, freq,
@@ -96,8 +97,9 @@ class TransactionGraph:
         self.num_edges = num_edges
         self._nbrs_out = [None] * len(addresses)
         self._csr = None
-        # (parent's OutCSR, sorted old sources that gained an out-neighbour)
+        # (parent's CSR, sorted old sources that gained an out-neighbour)
         self._csr_base = csr_base
+        self._in_csr = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -133,7 +135,7 @@ class TransactionGraph:
             self._nbrs_out[u] = nbrs
         return nbrs
 
-    def out_csr(self) -> OutCSR:
+    def out_csr(self) -> CSR:
         """The CSR view of the out-adjacency, built once per version. A
         version made by apply_batch from a parent whose view was built
         copies the parent's arrays and re-splices only the changed rows."""
@@ -145,6 +147,22 @@ class TransactionGraph:
                 csr = _splice_csr(*self._csr_base, self._out)
             self._csr = csr
             self._csr_base = None
+        return csr
+
+    def in_csr(self) -> CSR:
+        """The CSR view of the in-adjacency, transposed from out_csr() once
+        per version: row v lists the sources of v's in-edges, ascending."""
+        csr = self._in_csr
+        if csr is None:
+            out = self.out_csr()
+            n = len(out.indptr) - 1
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(out.indices, minlength=n), out=indptr[1:])
+            # a stable sort by destination keeps each row's sources ascending
+            src = np.repeat(np.arange(n), np.diff(out.indptr))
+            csr = CSR(indptr, src[np.argsort(out.indices, kind="stable")],
+                      out.tokens)
+            self._in_csr = csr
         return csr
 
     def edge(self, u: int, v: int) -> TxEdge | None:
@@ -174,6 +192,16 @@ class TransactionGraph:
         if kind == "D_out":
             return float(len(self._out[u]))
         raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
+
+    def stat_array(self, kind: str) -> np.ndarray:
+        """node_stat(u, kind) of every node u, as one float64 array."""
+        if kind == "D_out":
+            return np.diff(self.out_csr().indptr).astype(np.float64)
+        column = {"V_in": self._v_in, "V_out": self._v_out, "F": self._freq,
+                  "D_in": self._d_in}.get(kind)
+        if column is None:
+            raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
+        return np.array(column, dtype=np.float64)
 
     def node_stats(self, u: int) -> dict:
         return {kind: self.node_stat(u, kind) for kind in STAT_KINDS}
@@ -214,6 +242,25 @@ class TransactionGraph:
                         return None, frozenset(seen.difference(frontier))
         return tuple(sorted(frontier)), None
 
+    def upstream_hops(self, u: int, h: int) -> dict:
+        """{x: directed hop distance from x to u} for every node x != u
+        that reaches u within h hops, from one BFS over in_csr()."""
+        self._check(u)
+        csr = self.in_csr()
+        indptr, indices = csr.indptr, csr.indices
+        hops = {u: 0}
+        level = [u]
+        for d in range(1, h + 1):
+            nxt = []
+            for x in level:
+                for y in indices[indptr[x]:indptr[x + 1]].tolist():
+                    if y not in hops:
+                        hops[y] = d
+                        nxt.append(y)
+            level = nxt
+        del hops[u]
+        return hops
+
     def shortest_hop(self, u: int, v: int, cap: int) -> int | None:
         """Directed hop distance from u to v if <= cap, else None."""
         self._check(u)
@@ -239,16 +286,16 @@ class TransactionGraph:
 # CSR view
 # ---------------------------------------------------------------------------
 
-def _build_csr(out) -> OutCSR:
+def _build_csr(out) -> CSR:
     deg = np.fromiter(map(len, out), dtype=np.intp, count=len(out))
     indptr = np.zeros(len(out) + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(map(sorted, out)), dtype=np.intp,
                           count=int(indptr[-1]))
-    return OutCSR(indptr, indices, np.arange(len(out)).astype(object))
+    return CSR(indptr, indices, np.arange(len(out)).astype(object))
 
 
-def _splice_csr(base: OutCSR, gained, out) -> OutCSR:
+def _splice_csr(base: CSR, gained, out) -> CSR:
     """`base` with the rows of `gained` (old sources that gained an
     out-neighbour) and of the nodes added since rebuilt from `out`."""
     n_old = len(base.indptr) - 1
@@ -269,7 +316,7 @@ def _splice_csr(base: OutCSR, gained, out) -> OutCSR:
     tokens = base.tokens
     if n > n_old:
         tokens = np.concatenate([tokens, np.arange(n_old, n).astype(object)])
-    return OutCSR(indptr, indices, tokens)
+    return CSR(indptr, indices, tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,18 @@ from .walks import (
 
 @dataclass
 class DrawCounter:
-    """Accumulates candidate draws; the work measure for update-vs-scratch."""
+    """Accumulates candidate draws, the work measure for update-vs-scratch,
+    and the leap steps that took the approximate frontier-overflow guard
+    path (`overflows`) or ran out of its retries (`exhausted`)."""
 
     draws: int = 0
+    overflows: int = 0
+    exhausted: int = 0
+
+    def add(self, sampler):
+        self.draws += sampler.draws
+        self.overflows += sampler.overflows
+        self.exhausted += sampler.exhausted
 
 
 @dataclass(frozen=True)
@@ -150,12 +159,12 @@ def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
     if mode == MODE_UNIFORM:
         prefixes = [trim_walk(corpus.walks[w], plan.affected_nodes)
                     for w in affected]
-    out.replace_walks(affected, sampler.walks(affected, prefixes))
+    out.replace_walks(affected, *sampler.walks(affected, prefixes))
     n = cfg.num_walks
-    out.append_walks(sampler.walks([u * n + i for u in sorted(plan.new_nodes)
-                                    for i in range(n)]))
+    out.append_walks(*sampler.walks([u * n + i for u in sorted(plan.new_nodes)
+                                     for i in range(n)]))
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:
-        counter.draws += sampler.draws
+        counter.add(sampler)
     return out

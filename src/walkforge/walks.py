@@ -18,6 +18,15 @@ A rejected step consumes walk budget but appends nothing: repeated tokens
 add no co-occurrence pairs and only inflate the corpus. Walks end early
 when the candidate set is empty (sink regions).
 
+Both samplers advance a block of walks in lockstep, as numpy arrays, in
+the manner of KnightKing (Yang et al., SOSP 2019). The leap sampler
+builds a row for each node its walks reach, once per graph version: the
+node's sorted capped frontier and, per slot, the acceptance threshold
+min(1, R) + alpha_min, whose return distances all come from one upstream
+BFS. A leap step is then a gather of the slot, one comparison and an
+append. A node whose frontier overflows the cap has no row; walks there
+take the scalar guard path, which is approximate and counted.
+
 Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
 walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
 position w * 2**32 + c + 1 of the stream the seed starts. A uniform
@@ -163,23 +172,55 @@ def mh_acceptance(g: TransactionGraph, curr: int, v: int, cfg: WalkConfig) -> fl
 
 class _Sampler:
     """Shared state of both walk modes: the graph version walked, the
-    config, and the candidate draws made."""
+    config, the candidate draws made, and the leap steps that took the
+    frontier-overflow guard path or exhausted its retries."""
 
     def __init__(self, g: TransactionGraph, cfg: WalkConfig):
         self.g = g
         self.cfg = cfg
         self.draws = 0
+        self.overflows = 0
+        self.exhausted = 0
 
-    def walks(self, walk_ids, prefixes=None) -> list:
-        """The walks with these corpus indices, in blocks. Walk w starts at
-        node w // num_walks; with `prefixes`, walk k instead continues
-        prefixes[k] from step len(prefixes[k]) - 1."""
-        out = []
+    def walks(self, walk_ids, prefixes=None) -> tuple:
+        """(walks, tokens): the walks with these corpus indices as tuples,
+        and as int32 rows padded with -1 to l (or the longest prefix).
+        Walk w starts at node w // num_walks; with `prefixes`, walk k
+        instead continues prefixes[k] from step len(prefixes[k]) - 1."""
+        width = self.cfg.walk_length
+        if prefixes is not None:
+            width = max(width, max(map(len, prefixes), default=0))
+        walks, rows = [], [np.empty((0, width), dtype=np.int32)]
+        objs = self.g.out_csr().tokens
         for lo in range(0, len(walk_ids), _BLOCK):
             hi = lo + _BLOCK
-            out += self._block(walk_ids[lo:hi],
-                               None if prefixes is None else prefixes[lo:hi])
-        return out
+            ids = np.asarray(walk_ids[lo:hi], dtype=np.intp)
+            if prefixes is None:
+                tok = np.full((len(ids), width), -1, dtype=np.int32)
+                tok[:, 0] = ids // self.cfg.num_walks
+                start = np.zeros(len(ids), dtype=np.intp)
+            else:
+                part = prefixes[lo:hi]
+                tok = _pad(part, width)
+                start = np.fromiter(map(len, part), dtype=np.intp,
+                                    count=len(ids)) - 1
+            ends = self._block(ids, tok, start).tolist()
+            if prefixes is None:
+                walks += [tuple(r[:e]) for r, e in zip(objs[tok].tolist(), ends)]
+            else:
+                walks += [p + tuple(r[len(p):e])
+                          for p, r, e in zip(part, objs[tok].tolist(), ends)]
+            rows.append(tok)
+        return walks, np.concatenate(rows)
+
+
+def _lockstep(start, steps: int):
+    """Yield (s, walks that join at step s) for s in range(steps): walk k
+    takes its first step at step start[k]."""
+    by_start = np.argsort(start, kind="stable")
+    cuts = np.searchsorted(start[by_start], np.arange(steps + 1)).tolist()
+    for s in range(steps):
+        yield s, by_start[cuts[s]:cuts[s + 1]]
 
 
 class UniformSampler(_Sampler):
@@ -192,27 +233,17 @@ class UniformSampler(_Sampler):
 
     mode = MODE_UNIFORM
 
-    def _block(self, walk_ids, prefixes) -> list:
+    def _block(self, ids, tok, start) -> np.ndarray:
+        """Advance the walks of `tok` (row k holding walk ids[k] up to
+        token start[k]) in place; returns each walk's length."""
         csr = self.g.out_csr()
         indptr, indices = csr.indptr, csr.indices
-        l = self.cfg.walk_length
-        ids = np.asarray(walk_ids, dtype=np.intp)
-        m = len(ids)
-        unif = keyed_uniforms(self.cfg.seed, ids, range(l - 1))
-        tok = np.zeros((m, l), dtype=np.intp)  # tok[k, s]: node after s steps
-        if prefixes is None:
-            start = np.zeros(m, dtype=np.intp)
-            tok[:, 0] = ids // self.cfg.num_walks
-        else:
-            start = np.fromiter(map(len, prefixes), dtype=np.intp, count=m) - 1
-            tok[np.arange(m), start] = [p[-1] for p in prefixes]
+        unif = keyed_uniforms(self.cfg.seed, ids, range(self.cfg.walk_length - 1))
         length = start + 1
-        by_start = np.argsort(start, kind="stable")
-        cuts = np.searchsorted(start[by_start], np.arange(l)).tolist()
-        act = by_start[:cuts[1]]  # walks that take step 0
-        for s in range(l - 1):
-            if s and cuts[s + 1] > cuts[s]:  # walks resuming at step s
-                act = np.concatenate([act, by_start[cuts[s]:cuts[s + 1]]])
+        act = start[:0]
+        for s, joining in _lockstep(start, self.cfg.walk_length - 1):
+            if len(joining):
+                act = np.concatenate([act, joining])
             cur = tok[act, s]
             lo = indptr[cur]
             deg = indptr[cur + 1] - lo
@@ -222,17 +253,20 @@ class UniformSampler(_Sampler):
             tok[act, s + 1] = indices[lo + (unif[act, s] * deg).astype(np.intp)]
             length[act] = s + 2
             self.draws += len(act)
-        rows = csr.tokens[tok].tolist()
-        ends = length.tolist()
-        if prefixes is None:
-            return [tuple(r[:e]) for r, e in zip(rows, ends)]
-        return [p + tuple(r[len(p):e]) for p, r, e in zip(prefixes, rows, ends)]
+        return length
 
 
 class LeapSampler(_Sampler):
-    """MH leap walker with per-node frontier and per-pair acceptance caches.
+    """MH leap walker over per-node rows built lazily for this version.
 
-    Caches are valid for one immutable graph version.
+    The row of node u holds its sorted capped frontier and, per slot v,
+    the threshold min(1, R(u, v)) + alpha_min; all return distances of a
+    row come from one upstream BFS from u. All walks of a block advance in
+    lockstep: step s of a walk at u picks slot floor(U(w, 2s) * |row|) and
+    leaps there when U(w, 2s + 1) is below its threshold. A walk at a node
+    whose frontier overflows the cap takes the scalar guard path instead
+    (`step`); those steps are counted in `overflows`, and the ones whose
+    retries ran out in `exhausted`.
     """
 
     mode = MODE_MH
@@ -241,15 +275,61 @@ class LeapSampler(_Sampler):
         super().__init__(g, cfg)
         cap = cfg.frontier_cap
         self._cap = 64 * cfg.hop if cap is None else cap
-        self._frontiers = {}   # node -> g.capped_frontier(node, hop, cap)
-        self._alpha = {}       # (curr, v) -> acceptance probability
+        # q(d) for a return distance d (index 0: no return within hop)
+        self._q = np.array([cfg.nominal_return]
+                           + [_q_value(cfg, d) for d in range(1, cfg.hop + 1)])
+        self._p = None  # p(u) + eps of every node, read when rows are built
+        # row of u: slots start[u] .. start[u] + size[u] of fr (frontier
+        # node) and th (threshold); size -1 marks an overflow, -2 no row yet
+        self._start = np.zeros(g.num_nodes, dtype=np.intp)
+        self._size = np.full(g.num_nodes, -2, dtype=np.intp)
+        self._fr = np.empty(0, dtype=np.intp)
+        self._th = np.empty(0)
+        # u -> (frontier or None, thresholds) as Python objects, for step:
+        # a scalar step reading numpy elements would be several times slower
+        self._rows = {}
+        self._guards = {}  # overflow node u -> (<h ball, upstream hops)
 
-    def _frontier(self, u: int) -> tuple:
-        ent = self._frontiers.get(u)
-        if ent is None:
-            ent = self._frontiers[u] = self.g.capped_frontier(
-                u, self.cfg.hop, self._cap)
-        return ent
+    def _thresholds(self, curr, v, back) -> np.ndarray:
+        """min(1, R(curr, v)) + alpha_min per slot, with _acceptance's
+        float operations in the same order; back[k] is the return distance
+        from v[k] to curr[k], 0 when there is none within hop."""
+        cfg = self.cfg
+        if self._p is None:
+            self._p = self.g.stat_array(cfg.target_stat) + cfg.stat_smoothing
+        ratio = (self._p[v] * self._q[back]) / (self._p[curr] * _q_value(cfg, cfg.hop))
+        return np.minimum(ratio, 1.0) + cfg.alpha_min
+
+    def _build(self, nodes):
+        """Build the rows of the nodes that have none yet."""
+        new = np.unique(nodes[self._size[nodes] == -2]).tolist()
+        if not new:
+            return
+        g, h = self.g, self.cfg.hop
+        rows, curr, slots, back = [], [], [], []
+        for u in new:
+            frontier, ball = g.capped_frontier(u, h, self._cap)
+            if frontier is None:
+                self._size[u] = -1
+                self._rows[u] = (None, None)
+                self._guards[u] = (ball, g.upstream_hops(u, h))
+                continue
+            self._start[u] = len(self._fr) + len(slots)
+            self._size[u] = len(frontier)
+            rows.append((u, frontier, len(slots)))
+            if frontier:
+                hops = g.upstream_hops(u, h)
+                curr += [u] * len(frontier)
+                slots += frontier
+                back += [hops.get(v, 0) for v in frontier]
+        slots = np.array(slots, dtype=np.intp)
+        th = self._thresholds(np.array(curr, dtype=np.intp), slots,
+                              np.array(back, dtype=np.intp))
+        self._fr = np.concatenate([self._fr, slots])
+        self._th = np.concatenate([self._th, th])
+        th = th.tolist()
+        for u, frontier, lo in rows:
+            self._rows[u] = (frontier, th[lo:lo + len(frontier)])
 
     def _draw_beyond_ball(self, curr: int, ball, u_prop: float) -> int | None:
         """Guard path for oversized frontiers: random h-step forward
@@ -274,50 +354,64 @@ class LeapSampler(_Sampler):
                 return x
         return None
 
-    def acceptance(self, curr: int, v: int) -> float:
-        key = (curr, v)
-        alpha = self._alpha.get(key)
-        if alpha is None:
-            alpha = _acceptance(self.g, self.cfg, curr, v)
-            self._alpha[key] = alpha
-        return alpha
-
     def step(self, curr: int, u_prop: float, u_acc: float) -> int | None:
         """One chain step on two uniforms in [0, 1): the accepted candidate,
         curr itself on rejection, or None when the frontier is empty (the
-        walk must stop)."""
-        frontier, ball = self._frontier(curr)
+        walk must stop). It reads curr's row; at an overflow node it takes
+        the guard path."""
+        row = self._rows.get(curr)
+        if row is None:
+            self.g._check(curr)
+            self._build(np.array([curr]))
+            row = self._rows[curr]
+        frontier, th = row
         if frontier is None:
             self.draws += 1
+            self.overflows += 1
+            ball, hops = self._guards[curr]
             v = self._draw_beyond_ball(curr, ball, u_prop)
             if v is None:
+                self.exhausted += 1
                 return curr  # retries exhausted; step consumed
-        else:
-            if not frontier:
-                return None
-            self.draws += 1
-            v = frontier[int(u_prop * len(frontier))]
-        if u_acc < self.acceptance(curr, v) + self.cfg.alpha_min:
-            return v
-        return curr
+            return v if u_acc < self._thresholds(curr, v, hops.get(v, 0)) else curr
+        if not frontier:
+            return None
+        self.draws += 1
+        i = int(u_prop * len(frontier))
+        return frontier[i] if u_acc < th[i] else curr
 
-    def _block(self, walk_ids, prefixes) -> list:
-        n = self.cfg.num_walks
+    def _block(self, ids, tok, start) -> np.ndarray:
+        """Advance the walks of `tok` (row k holding walk ids[k] up to
+        token start[k]) in place; returns each walk's length."""
         steps = self.cfg.walk_length - 1
-        draws = keyed_uniforms(self.cfg.seed, walk_ids, range(2 * steps)).tolist()
-        out = []
-        for k, (w, u) in enumerate(zip(walk_ids, draws)):
-            walk = [w // n] if prefixes is None else list(prefixes[k])
-            curr = walk[-1]
-            for s in range(len(walk) - 1, steps):
-                nxt = self.step(curr, u[2 * s], u[2 * s + 1])
-                if nxt is None:
-                    break
-                if nxt != curr:
-                    walk.append(nxt)
-                    curr = nxt
-            out.append(tuple(walk))
-        return out
+        unif = keyed_uniforms(self.cfg.seed, ids, range(2 * steps))
+        pos = start.copy()  # token index of each walk's current node
+        act = start[:0]
+        for s, joining in _lockstep(start, steps):
+            if len(joining):
+                act = np.concatenate([act, joining])
+            cur = tok[act, pos[act]]
+            self._build(cur)
+            size = self._size[cur]
+            if not size.all():  # walks at an empty frontier end here
+                live = np.flatnonzero(size)
+                act, cur, size = act[live], cur[live], size[live]
+            leap = size > 0  # the others are at an overflow node
+            if not leap.all():  # the guard path, one scalar step per walk
+                for k, u in zip(act[~leap].tolist(), cur[~leap].tolist()):
+                    v = self.step(u, *unif[k, 2 * s:2 * s + 2].tolist())
+                    if v != u:
+                        pos[k] += 1
+                        tok[k, pos[k]] = v
+            leapers = act[leap]
+            slot = (self._start[cur[leap]]
+                    + (unif[leapers, 2 * s] * size[leap]).astype(np.intp))
+            acc = unif[leapers, 2 * s + 1] < self._th[slot]
+            moved = leapers[acc]
+            pos[moved] += 1
+            tok[moved, pos[moved]] = self._fr[slot[acc]]
+            self.draws += len(leapers)
+        return pos + 1
 
 
 def make_sampler(g: TransactionGraph, cfg: WalkConfig, mode: str):
@@ -362,7 +456,7 @@ def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
     g._check(prefix[-1])
     if sampler is None:
         sampler = make_sampler(g, cfg, mode)
-    return sampler.walks([walk_index], [tuple(prefix)])[0]
+    return sampler.walks([walk_index], [tuple(prefix)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +508,22 @@ class WalkCorpus:
                           self.l, self.mode, self.num_nodes,
                           tokens=self.tokens.copy())
 
-    def replace_walks(self, ids, walks):
+    def replace_walks(self, ids, walks, tokens):
+        """Put walks (with their token rows, as a sampler returns them) at
+        the indices `ids`."""
         for i, walk in zip(ids, walks):
             self.walks[i] = walk
-        self.tokens[np.asarray(ids, dtype=np.intp)] = _pad(walks, self.tokens.shape[1])
+        self.tokens[np.asarray(ids, dtype=np.intp)] = self._fit(tokens)
 
-    def append_walks(self, walks):
+    def append_walks(self, walks, tokens):
         self.walks += walks
-        self.tokens = np.concatenate([self.tokens, _pad(walks, self.tokens.shape[1])])
+        self.tokens = np.concatenate([self.tokens, self._fit(tokens)])
+
+    def _fit(self, tokens) -> np.ndarray:
+        """Token rows padded with -1 to the corpus width (a hand-built
+        corpus can be wider than l)."""
+        extra = self.tokens.shape[1] - tokens.shape[1]
+        return np.pad(tokens, ((0, 0), (0, extra)), constant_values=-1) if extra else tokens
 
 
 def _pad(walks, width: int) -> np.ndarray:
@@ -453,11 +555,11 @@ def generate_corpus(g: TransactionGraph, cfg: WalkConfig, mode: str,
     if g.num_nodes == 0:
         raise InputError("cannot generate walks on an empty graph")
     sampler = make_sampler(g, cfg, mode)
-    walks = sampler.walks(range(g.num_nodes * cfg.num_walks))
+    walks, tokens = sampler.walks(range(g.num_nodes * cfg.num_walks))
     if counter is not None:
-        counter.draws += sampler.draws
+        counter.add(sampler)
     return WalkCorpus(walks, g.version, cfg.num_walks, cfg.walk_length, mode,
-                      g.num_nodes)
+                      g.num_nodes, tokens=tokens)
 
 
 def mean_defacto_length(corpus: WalkCorpus) -> float:

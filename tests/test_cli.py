@@ -206,6 +206,30 @@ def test_update_reports_mode_aware_plan(tmp_path, segment_pair, capsys):
     assert report["affected_walks"] == len(plan.affected_walks)
 
 
+def test_update_reports_frontier_overflows(tmp_path, segment_pair, capsys):
+    """The report counts the leap steps that took the approximate guard
+    path: none on the fixture stream, some once a hub's frontier outgrows
+    the default cap of 64 * h."""
+    write_edges(tmp_path / "hub.csv",
+                [("hub", f"x{i}", 1.0, i) for i in range(70)]
+                + [(f"x{i}", "hub", 1.0, 70 + i) for i in range(70)])
+    main(["segment", str(tmp_path / "hub.csv"), "--outdir", str(tmp_path / "hub"),
+          "--initial", "0.5", "--step", "0.5"])
+    hub_pair = tmp_path / "hub" / "segment_000.wfg", tmp_path / "hub" / "segment_001.wfg"
+    for (g0, g1), overflowed in ((segment_pair, False), (hub_pair, True)):
+        corpus0 = tmp_path / "c0.wfw"
+        flags = ["--h", "1", "--n", "2", "--seed", "3"]
+        assert main(["walk", str(g0), "--mode", "mh", "--out", str(corpus0)] + flags) == 0
+        capsys.readouterr()
+        assert main(["update", "--corpus", str(corpus0), "--graph-prev", str(g0),
+                     "--graph-next", str(g1), "--out", str(tmp_path / "c1.wfw")]
+                    + flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["affected_walks"] > 0
+        assert (report["frontier_overflows"] > 0) == overflowed
+        assert report["fallback_exhausted"] == 0
+
+
 def test_update_rejects_wrong_predecessor(tmp_path, segment_pair):
     g0, g1 = segment_pair
     corpus1 = tmp_path / "c1.wfw"

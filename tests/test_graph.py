@@ -1,6 +1,7 @@
 import os
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from walkforge import (
     segment_schedule,
     segment_sizes,
 )
+from walkforge.graph import STAT_KINDS
 from conftest import random_rows, rows_from_edges
 
 
@@ -315,6 +317,43 @@ def test_out_csr_splice_matches_sorted_adjacency(base, batches):
             row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()
             assert tuple(row) == g.out_neighbors(u)
         assert csr.tokens.tolist() == list(g.nodes())
+
+
+@given(base=edge_lists, batches=st.lists(edge_lists, max_size=3))
+def test_in_csr_matches_transposed_edges(base, batches):
+    g = ingest_edges(rows_from_edges(base))
+    g.out_csr()
+    ts = 10_000
+    for batch in [None, *batches]:
+        if batch is not None:  # batch ids run to 18, so batches add nodes
+            g, _ = apply_batch(g, [(f"n{2 * u}", f"n{2 * v}", w, ts + i)
+                                   for i, (u, v, w) in enumerate(batch)])
+            ts += len(batch)
+        csr = g.in_csr()
+        assert len(csr.indptr) == g.num_nodes + 1
+        assert [(v, u) for v in g.nodes() for u in
+                csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist()] == \
+            sorted((e.dst, e.src) for e in g.edges())
+        assert csr.tokens.tolist() == list(g.nodes())
+        for u in g.nodes():
+            for h in (1, 2, 3):
+                assert g.upstream_hops(u, h) == {
+                    x: d for x in g.nodes()
+                    if x != u and (d := g.shortest_hop(x, u, cap=h)) is not None}
+
+
+@given(edges=edge_lists, batch=edge_lists)
+def test_stat_array_matches_node_stat(edges, batch):
+    g = ingest_edges(rows_from_edges(edges))
+    g2, _ = apply_batch(g, [(f"n{u}", f"n{v}", w, 10_000 + i)
+                            for i, (u, v, w) in enumerate(batch)])
+    for graph in (g, g2):
+        for kind in STAT_KINDS:
+            col = graph.stat_array(kind)
+            assert col.dtype == np.float64
+            assert col.tolist() == [graph.node_stat(u, kind) for u in graph.nodes()]
+    with pytest.raises(ConfigError):
+        g.stat_array("pagerank")
 
 
 @given(base=edge_lists, batch=edge_lists)

@@ -57,6 +57,7 @@ def walks_through(corpus, nodes) -> set:
 
 def assert_rows_are_padded_walks(corpus):
     width = corpus.tokens.shape[1]
+    assert corpus.tokens.dtype == np.int32
     assert corpus.tokens.shape == (len(corpus), width)
     for row, walk in zip(corpus.tokens.tolist(), corpus.walks):
         assert row == list(walk) + [-1] * (width - len(walk))
@@ -315,6 +316,7 @@ def test_copy_on_write_keeps_parent_and_siblings_apart():
     g = ingest_edges(random_rows(40, 150, seed=14))
     cfg = WalkConfig(num_walks=3, walk_length=5, seed=12)
     parent = generate_corpus(g, cfg, "uniform")
+    assert_rows_are_padded_walks(parent)
     walks_before = list(parent.walks)
     tokens_before = parent.tokens.copy()
     g_a, delta_a = apply_batch(g, [("n1", "n50", 1.0, 90_000),

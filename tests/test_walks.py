@@ -19,7 +19,10 @@ from walkforge import (
     resume_walk,
     save_corpus,
 )
-from walkforge.walks import LeapSampler, build_node_index, make_sampler
+from walkforge.graph import STAT_KINDS
+from walkforge.incremental import DrawCounter
+from walkforge.synth import sbm_stream
+from walkforge.walks import LeapSampler, build_node_index, keyed_uniforms, make_sampler
 from conftest import random_rows, rows_from_edges, uniform_walk
 
 
@@ -205,6 +208,85 @@ def test_frontier_guard_samples_exact_distance():
         assert g.shortest_hop(0, nxt, cap=1) == 1
         seen.add(nxt)
     assert len(seen) > 10  # spread across the hub's targets
+
+
+# ---------------------------------------------------------------------------
+# lockstep leap walker
+# ---------------------------------------------------------------------------
+
+def chained_steps(g, cfg, ids, prefixes):
+    """The walks made by chaining the scalar step over each walk's keyed
+    draws, and the sampler that made them."""
+    sampler = LeapSampler(g, cfg)
+    l = cfg.walk_length
+    draws = keyed_uniforms(cfg.seed, ids, range(2 * (l - 1))).tolist()
+    out = []
+    for k, (w, u) in enumerate(zip(ids, draws)):
+        walk = [w // cfg.num_walks] if prefixes is None else list(prefixes[k])
+        for s in range(len(walk) - 1, l - 1):
+            nxt = sampler.step(walk[-1], u[2 * s], u[2 * s + 1])
+            if nxt is None:
+                break
+            if nxt != walk[-1]:
+                walk.append(nxt)
+        out.append(tuple(walk))
+    return out, sampler
+
+
+@given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                st.floats(0.1, 5.0)), min_size=1, max_size=50),
+       hop=st.integers(1, 3), cap=st.sampled_from([None, 1, 4]),
+       proposal=st.sampled_from("SE"), stat=st.sampled_from(STAT_KINDS),
+       prefixed=st.booleans(), seed=st.integers(0, 2**32))
+def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat,
+                                                prefixed, seed):
+    g = ingest_edges(rows_from_edges(edges))
+    cfg = WalkConfig(num_walks=3, walk_length=6, hop=hop, alpha_min=0.3,
+                     target_stat=stat, proposal=proposal, frontier_cap=cap,
+                     seed=seed)
+    ids = list(range(g.num_nodes * cfg.num_walks))
+    prefixes = None
+    if prefixed:  # up to l + 1 nodes: a prefix may already be complete
+        rng = rng_(seed)
+        prefixes = [tuple(rng.integers(g.num_nodes, size=rng.integers(1, 8)).tolist())
+                    for _ in ids]
+    sampler = LeapSampler(g, cfg)
+    walks, tokens = sampler.walks(ids, prefixes)
+    expected, scalar = chained_steps(g, cfg, ids, prefixes)
+    assert walks == expected
+    assert (sampler.draws, sampler.overflows, sampler.exhausted) == \
+        (scalar.draws, scalar.overflows, scalar.exhausted)
+    assert tokens.dtype == np.int32
+    assert tokens.tolist() == [list(w) + [-1] * (tokens.shape[1] - len(w)) for w in walks]
+    # every row built holds the capped frontier and, slot by slot, the
+    # oracle's acceptance plus alpha_min
+    for u, (frontier, thresholds) in sampler._rows.items():
+        if frontier is None:
+            assert g.capped_frontier(u, hop, sampler._cap)[0] is None
+            continue
+        assert frontier == g.capped_frontier(u, hop)[0]
+        lo, size = sampler._start[u], sampler._size[u]
+        assert sampler._fr[lo:lo + size].tolist() == list(frontier)
+        assert sampler._th[lo:lo + size].tolist() == thresholds == [
+            mh_acceptance(g, u, v, cfg) + cfg.alpha_min for v in frontier]
+
+
+def test_overflow_and_exhausted_steps_are_counted():
+    rows, _ = sbm_stream((30, 30), p_in=0.2, p_out=0.02, seed=3)
+    cfg = WalkConfig(num_walks=5, walk_length=8, hop=2, seed=4)
+    counter = DrawCounter()
+    generate_corpus(ingest_edges(rows), cfg, "mh", counter=counter)
+    assert counter.draws > 0
+    assert counter.overflows == counter.exhausted == 0
+    # hub 0 <-> 1..20; its 2-hop frontier {21, 22} overflows a cap of 1, and
+    # most guard expansions from it land back on the hub
+    edges = ([(0, i) for i in range(1, 21)] + [(i, 0) for i in range(1, 21)]
+             + [(1, 21), (2, 22)])
+    counter = DrawCounter()
+    generate_corpus(ingest_edges(rows_from_edges(edges)),
+                    WalkConfig(num_walks=5, walk_length=8, hop=2, frontier_cap=1,
+                               seed=4), "mh", counter=counter)
+    assert counter.overflows > counter.exhausted > 0
 
 
 # ---------------------------------------------------------------------------
