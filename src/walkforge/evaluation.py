@@ -61,15 +61,11 @@ def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
 
 def theoretical_transitions(g: TransactionGraph) -> dict:
     """Per directed edge, the uniform-walk probability 1/out_degree."""
-    theo = {}
-    for u in g.nodes():
-        nbrs = g.out_neighbors(u)
-        if not nbrs:
-            continue
-        p = 1.0 / len(nbrs)
-        for v in nbrs:
-            theo[(u, v)] = p
-    return theo
+    csr = g.out_csr()
+    deg = np.diff(csr.indptr)
+    src = np.repeat(np.arange(len(deg)), deg)
+    return dict(zip(zip(src.tolist(), csr.indices.tolist()),
+                    (1.0 / deg[src]).tolist()))
 
 
 def delta_mae(emp: TransitionTable, theo: dict) -> float:

@@ -6,6 +6,10 @@ immutable: appending a batch produces a new version plus a delta naming
 the new and affected nodes. Node ids are dense ints handed out in
 first-appearance order and never change across versions, so walk corpora
 that reference ids stay valid after updates.
+
+A version is numpy CSR columns only. `_grow` builds every version: it
+aggregates a block of rows by (src, dst) and merges it into a base version
+(the empty graph, or the parent for `apply_batch`) with one sorted merge.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, compress, count
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .errors import (
 STAT_KINDS = ("V_in", "V_out", "F", "D_in", "D_out")
 
 GRAPH_MAGIC = "WALKFORGE-GRAPH v1"
-
 
 @dataclass(frozen=True)
 class TxEdge:
@@ -47,8 +51,8 @@ class CSR:
 
     The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, in
     ascending order. `tokens[u]` is node id u as one int object shared by
-    every walk built from this version, so a corpus holds one object per
-    node rather than one per token.
+    every walk built from this version and its successors, so a corpus
+    holds one object per node rather than one per token.
     """
 
     indptr: np.ndarray
@@ -71,35 +75,32 @@ class GraphDelta:
         return not self.new_nodes and not self.affected_nodes and not self.new_edges
 
 
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
 class TransactionGraph:
     """Immutable snapshot of the transaction graph at one version.
 
-    Each edge is stored once, in a per-source dict keyed by destination;
-    sorted neighbor tuples and the out- and in-edge CSR views are
-    materialized lazily and memoized. Per-node value, frequency and
-    in-degree stats are maintained incrementally so `node_stat` is O(1).
-    The graph owns every traversal of its adjacency, the leap sampler's
-    capped frontier BFS and upstream BFS included, so no other module
-    depends on the layout.
+    Storage is numpy columns: `_indptr` and the per-edge `_dst`,
+    `_weight`, `_ts` and `_count`, sorted by (src, dst), and the per-node
+    `_d_in`, `_v_in`, `_v_out` and `_freq`. `out_csr()` is the stored
+    adjacency; `in_csr()` is its transpose, merged from the parent's when
+    that was built. The graph owns every traversal of its adjacency, so no
+    other module depends on the layout.
     """
 
-    def __init__(self, addresses, ids, out, d_in, v_in, v_out, freq,
-                 num_edges, version, max_timestamp, csr_base=None):
-        self._addresses = addresses
-        self._ids = ids
-        self._out = out  # list[dict[dst, TxEdge]]
-        self._d_in = d_in
-        self._v_in = v_in
-        self._v_out = v_out
-        self._freq = freq
+    def __init__(self, addresses, ids, edges, nodes, version, max_timestamp,
+                 in_adj, tokens):
+        self._addresses, self._ids = addresses, ids
+        self._indptr, self._dst, self._weight, self._ts, self._count = edges
+        self._d_in, self._v_in, self._v_out, self._freq = nodes
         self.version = version
         self.max_timestamp = max_timestamp
-        self.num_edges = num_edges
-        self._nbrs_out = [None] * len(addresses)
-        self._csr = None
-        # (parent's CSR, sorted old sources that gained an out-neighbour)
-        self._csr_base = csr_base
-        self._in_csr = None
+        self.num_edges = len(self._dst)
+        self._in_adj = in_adj  # (indptr, indices) of in_csr(), once built
+        self._tokens = tokens  # int objects of the first len(tokens) node ids
 
     # -- lookups -----------------------------------------------------------
 
@@ -129,51 +130,41 @@ class TransactionGraph:
 
     def out_neighbors(self, u: int) -> tuple:
         self._check(u)
-        nbrs = self._nbrs_out[u]
-        if nbrs is None:
-            nbrs = tuple(sorted(self._out[u]))
-            self._nbrs_out[u] = nbrs
-        return nbrs
+        return tuple(self._dst[self._indptr[u]:self._indptr[u + 1]].tolist())
+
+    def _node_tokens(self) -> np.ndarray:
+        """Node ids as int objects, extending (and so sharing) the parent's."""
+        if len(self._tokens) < self.num_nodes:
+            new = np.arange(len(self._tokens), self.num_nodes).astype(object)
+            self._tokens = np.concatenate([self._tokens, new])
+        return self._tokens
 
     def out_csr(self) -> CSR:
-        """The CSR view of the out-adjacency, built once per version. A
-        version made by apply_batch from a parent whose view was built
-        copies the parent's arrays and re-splices only the changed rows."""
-        csr = self._csr
-        if csr is None:
-            if self._csr_base is None:
-                csr = _build_csr(self._out)
-            else:
-                csr = _splice_csr(*self._csr_base, self._out)
-            self._csr = csr
-            self._csr_base = None
-        return csr
+        """The stored out-adjacency as a CSR view."""
+        return CSR(self._indptr, self._dst, self._node_tokens())
 
     def in_csr(self) -> CSR:
-        """The CSR view of the in-adjacency, transposed from out_csr() once
-        per version: row v lists the sources of v's in-edges, ascending."""
-        csr = self._in_csr
-        if csr is None:
-            out = self.out_csr()
-            n = len(out.indptr) - 1
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(out.indices, minlength=n), out=indptr[1:])
-            # a stable sort by destination keeps each row's sources ascending
-            src = np.repeat(np.arange(n), np.diff(out.indptr))
-            csr = CSR(indptr, src[np.argsort(out.indices, kind="stable")],
-                      out.tokens)
-            self._in_csr = csr
-        return csr
+        """The in-adjacency, once per version: row v lists the sources of
+        v's in-edges, ascending."""
+        if self._in_adj is None:
+            n = self.num_nodes
+            keys = np.sort(self._dst * n + _rows(self._indptr))
+            self._in_adj = _merge(np.zeros(1, dtype=np.intp), self._dst[:0], n, keys)[:2]
+        return CSR(*self._in_adj, self._node_tokens())
 
     def edge(self, u: int, v: int) -> TxEdge | None:
         self._check(u)
-        return self._out[u].get(v)
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        k = lo + int(np.searchsorted(self._dst[lo:hi], v))
+        if k == hi or self._dst[k] != v:
+            return None
+        return TxEdge(int(u), int(v), float(self._weight[k]), int(self._ts[k]),
+                      int(self._count[k]))
 
     def edges(self):
         """All edges, sorted by (src, dst)."""
-        for u in range(len(self._out)):
-            for v in sorted(self._out[u]):
-                yield self._out[u][v]
+        return map(TxEdge, _rows(self._indptr).tolist(), self._dst.tolist(),
+                   self._weight.tolist(), self._ts.tolist(), self._count.tolist())
 
     # -- per-node stats (target-distribution inputs) ------------------------
 
@@ -181,27 +172,22 @@ class TransactionGraph:
         """Activity statistic of node u: incoming/outgoing value, transfer
         frequency, or in/out degree."""
         self._check(u)
-        if kind == "V_in":
-            return self._v_in[u]
-        if kind == "V_out":
-            return self._v_out[u]
-        if kind == "F":
-            return float(self._freq[u])
-        if kind == "D_in":
-            return float(self._d_in[u])
         if kind == "D_out":
-            return float(len(self._out[u]))
-        raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
+            return float(self._indptr[u + 1] - self._indptr[u])
+        return float(self._stat_column(kind)[u])
 
-    def stat_array(self, kind: str) -> np.ndarray:
-        """node_stat(u, kind) of every node u, as one float64 array."""
-        if kind == "D_out":
-            return np.diff(self.out_csr().indptr).astype(np.float64)
+    def _stat_column(self, kind: str) -> np.ndarray:
         column = {"V_in": self._v_in, "V_out": self._v_out, "F": self._freq,
                   "D_in": self._d_in}.get(kind)
         if column is None:
             raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
-        return np.array(column, dtype=np.float64)
+        return column
+
+    def stat_array(self, kind: str) -> np.ndarray:
+        """node_stat(u, kind) of every node u, as one float64 array."""
+        if kind == "D_out":
+            return np.diff(self._indptr).astype(np.float64)
+        return self._stat_column(kind).astype(np.float64)
 
     def node_stats(self, u: int) -> dict:
         return {kind: self.node_stat(u, kind) for kind in STAT_KINDS}
@@ -220,12 +206,13 @@ class TransactionGraph:
         self._check(u)
         if h < 1:
             raise ConfigError(f"h must be >= 1, got {h}")
+        indptr, dst = self._indptr, self._dst
         seen = {u}
         level = [u]
         for _ in range(h - 1):
             nxt = []
             for x in level:
-                for y in self._out[x]:
+                for y in dst[indptr[x]:indptr[x + 1]].tolist():
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -234,7 +221,7 @@ class TransactionGraph:
             level = nxt
         frontier = []
         for x in level:
-            for y in self._out[x]:
+            for y in dst[indptr[x]:indptr[x + 1]].tolist():
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -267,13 +254,14 @@ class TransactionGraph:
         self._check(v)
         if u == v:
             return 0
+        indptr, dst = self._indptr, self._dst
         seen = {u}
         queue = deque([(u, 0)])
         while queue:
             x, d = queue.popleft()
             if d == cap:
                 continue
-            for y in self._out[x]:
+            for y in dst[indptr[x]:indptr[x + 1]].tolist():
                 if y == v:
                     return d + 1
                 if y not in seen:
@@ -283,124 +271,77 @@ class TransactionGraph:
 
 
 # ---------------------------------------------------------------------------
-# CSR view
+# Construction: one sorted merge builds every version
 # ---------------------------------------------------------------------------
 
-def _build_csr(out) -> CSR:
-    deg = np.fromiter(map(len, out), dtype=np.intp, count=len(out))
-    indptr = np.zeros(len(out) + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(map(sorted, out)), dtype=np.intp,
-                          count=int(indptr[-1]))
-    return CSR(indptr, indices, np.arange(len(out)).astype(object))
+def _empty() -> TransactionGraph:
+    """The graph with no nodes, the base of ingest_edges and load_graph."""
+    ints, floats = np.empty(0, dtype=np.intp), np.empty(0)
+    return TransactionGraph([], {}, (np.zeros(1, dtype=np.intp), ints, floats, ints, ints),
+                            (ints, floats, floats, ints), 0, None, None,
+                            np.empty(0, dtype=object))
 
 
-def _splice_csr(base: CSR, gained, out) -> CSR:
-    """`base` with the rows of `gained` (old sources that gained an
-    out-neighbour) and of the nodes added since rebuilt from `out`."""
-    n_old = len(base.indptr) - 1
-    n = len(out)
-    rebuilt = list(gained) + list(range(n_old, n))
-    deg = np.empty(n, dtype=np.intp)
-    deg[:n_old] = np.diff(base.indptr)
-    deg[rebuilt] = [len(out[u]) for u in rebuilt]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    lo = 0  # rows lo..u-1 are unchanged and copied as one stretch
-    for u in [*gained, n_old]:
-        indices[indptr[lo]:indptr[u]] = base.indices[base.indptr[lo]:base.indptr[u]]
-        lo = u + 1
-    for u in rebuilt:
-        indices[indptr[u]:indptr[u + 1]] = sorted(out[u])
-    tokens = base.tokens
-    if n > n_old:
-        tokens = np.concatenate([tokens, np.arange(n_old, n).astype(object)])
-    return CSR(indptr, indices, tokens)
+def _lookup(indptr, indices, n: int, keys) -> tuple:
+    """Each ascending pair key's (row * n + col) insertion point among the
+    CSR's entries, and whether the CSR lacks it."""
+    old = _rows(indptr) * n + indices
+    pos = np.searchsorted(old, keys)
+    fresh = np.ones(len(keys), dtype=bool)
+    inside = pos < len(old)
+    fresh[inside] = old[pos[inside]] != keys[inside]
+    return pos, fresh
 
 
-# ---------------------------------------------------------------------------
-# Construction
-# ---------------------------------------------------------------------------
+def _merge(indptr, indices, n: int, keys) -> tuple:
+    """Merge distinct ascending pair keys (row * n + col) into the CSR
+    (indptr, indices): the merged (indptr, indices), the new keys' insertion
+    points `at` (for np.insert), `fresh` and each key's merged `slot`."""
+    pos, fresh = _lookup(indptr, indices, n, keys)
+    new, at = keys[fresh], pos[fresh]
+    deg = np.bincount(new // n, minlength=n)
+    deg[:len(indptr) - 1] += np.diff(indptr)
+    merged = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=merged[1:])
+    slot = pos + np.cumsum(fresh) - fresh
+    return merged, np.insert(indices, at, new % n), at, fresh, slot
 
-class _Builder:
-    """Mutable accumulator behind ingest/apply; one instance per new version."""
 
-    def __init__(self, base: TransactionGraph | None = None):
-        if base is None:
-            self.addresses = []
-            self.ids = {}
-            self.out = []
-            self.d_in = []
-            self.v_in = []
-            self.v_out = []
-            self.freq = []
-            self.num_edges = 0
-            self.max_ts = None
-        else:
-            self.addresses = list(base._addresses)
-            self.ids = dict(base._ids)
-            # inner dicts are copied lazily, only for touched nodes
-            self.out = list(base._out)
-            self.d_in = list(base._d_in)
-            self.v_in = list(base._v_in)
-            self.v_out = list(base._v_out)
-            self.freq = list(base._freq)
-            self.num_edges = base.num_edges
-            self.max_ts = base.max_timestamp
-        self._base_n = len(self.addresses)
-        self._copied_out = set()
-        self.gained = set()  # old sources given a new out-neighbour
-
-    def node_id(self, address: str) -> int:
-        nid = self.ids.get(address)
-        if nid is None:
-            nid = len(self.addresses)
-            self.ids[address] = nid
-            self.addresses.append(address)
-            self.out.append({})
-            self.d_in.append(0)
-            self.v_in.append(0.0)
-            self.v_out.append(0.0)
-            self.freq.append(0)
-        return nid
-
-    def _out_dict(self, u: int) -> dict:
-        if u < self._base_n and u not in self._copied_out:
-            self.out[u] = dict(self.out[u])
-            self._copied_out.add(u)
-        return self.out[u]
-
-    def add(self, s: int, d: int, weight: float, ts: int, count: int):
-        out_d = self._out_dict(s)
-        prev = out_d.get(d)
-        if prev is None:
-            out_d[d] = TxEdge(s, d, weight, ts, count)
-            self.d_in[d] += 1
-            self.num_edges += 1
-            if s < self._base_n:
-                self.gained.add(s)
-        else:
-            out_d[d] = TxEdge(s, d, prev.weight + weight,
-                              min(prev.timestamp, ts), prev.count + count)
-        self.v_out[s] += weight
-        self.v_in[d] += weight
-        self.freq[s] += count
-        if d != s:  # a self-transfer is a single transaction, not two
-            self.freq[d] += count
-        if self.max_ts is None or ts > self.max_ts:
-            self.max_ts = ts
-
-    def build(self, version: int, base: TransactionGraph | None = None
-              ) -> TransactionGraph:
-        """The new version; with `base`, its CSR view (when built) is
-        passed on for splicing."""
-        csr_base = None
-        if base is not None and base._csr is not None:
-            csr_base = (base._csr, sorted(self.gained))
-        return TransactionGraph(self.addresses, self.ids, self.out, self.d_in,
-                                self.v_in, self.v_out, self.freq,
-                                self.num_edges, version, self.max_ts, csr_base)
+def _grow(base: TransactionGraph, addresses, ids, s, d, w, ts, c,
+          version: int, max_ts) -> tuple:
+    """(version, block): `base` plus the rows (s, d, w, ts, c) over the
+    grown node table; the block is the rows aggregated per (src, dst).
+    Float sums add in row order onto the base's value: ((old + w1) + w2),
+    from a new edge's first row (so -0.0 rows keep weight -0.0), from 0.0
+    for a node."""
+    n = len(addresses)
+    keys, first, pair = np.unique(s * n + d, return_index=True, return_inverse=True)
+    later = np.delete(np.arange(len(s)), first)  # rows after their pair's first
+    indptr, dst, at, fresh, slot = _merge(base._indptr, base._dst, n, keys)
+    grown = np.flatnonzero(~fresh[pair])  # rows that add onto an edge of the base
+    block, edges = [], [indptr, dst]
+    for rows, column, fold in ((w, base._weight, np.add), (ts, base._ts, np.minimum),
+                               (c, base._count, np.add)):
+        agg = rows[first]
+        fold.at(agg, pair[later], rows[later])
+        column = np.insert(column, at, agg[fresh])
+        fold.at(column, slot[pair[grown]], rows[grown])
+        block.append(agg)
+        edges.append(column)
+    src, new_dst = np.divmod(keys, n)
+    other = s != d  # a self-transfer is a single transaction, not two
+    nodes = [np.pad(base._d_in, (0, n - base.num_nodes))
+             + np.bincount(new_dst[fresh], minlength=n)]
+    for column, at_node, rows in ((base._v_in, d, w), (base._v_out, s, w), (
+            base._freq, np.concatenate([s, d[other]]), np.concatenate([c, c[other]]))):
+        nodes.append(np.pad(column, (0, n - base.num_nodes)))  # a zero-padded copy
+        np.add.at(nodes[-1], at_node, rows)
+    in_adj = None
+    if base._in_adj is not None:  # merge the new (dst, src) pairs into it
+        in_adj = _merge(*base._in_adj, n, np.sort(new_dst[fresh] * n + src[fresh]))[:2]
+    g = TransactionGraph(addresses, ids, edges, nodes, version, max_ts, in_adj,
+                         base._tokens)
+    return g, (src, new_dst, *block)
 
 
 def _coerce_record(record, where: str):
@@ -423,13 +364,77 @@ def _coerce_record(record, where: str):
         ts = int(ts)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: timestamp {record[3]!r} is not an integer") from None
+    if not -2 ** 63 <= ts < 2 ** 63:  # the timestamp column is int64
+        raise ParseError(f"{where}: timestamp {record[3]!r} is out of range")
     try:
         count = int(count)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: count {record[4]!r} is not an integer") from None
-    if count < 1:
-        raise ParseError(f"{where}: count must be >= 1, got {count}")
+    if not 1 <= count < 2 ** 63:
+        raise ParseError(f"{where}: count must be >= 1, got {count}" if count < 1
+                         else f"{where}: count {record[4]!r} is out of range")
     return src, dst, value, ts, count
+
+
+def _parse(records, numbers, rejects, floor=None) -> tuple:
+    """The rows with a non-negative value as (src, dst, value, ts, count)
+    columns; the others go to `rejects` as (record number, reason). On any
+    bad row the scalar `_coerce_record` loop names the first one; a row
+    older than `floor` raises AppendOrderError before the negative skip."""
+    k = len(records)
+    widths = set(map(len, records))
+    try:
+        if not widths <= {4, 5}:
+            raise ValueError("a row has the wrong number of fields")
+        cols = list(zip(*records)) or [()] * 4
+        # one whitespace-free word each, as _coerce_record's strip-and-test
+        src = [a for (a,) in map(str.split, map(str, cols[0]))]
+        dst = [a for (a,) in map(str.split, map(str, cols[1]))]
+        value = np.fromiter(map(float, cols[2]), np.float64, k)
+        ts = np.fromiter(map(int, cols[3]), np.int64, k)
+        cnt = np.ones(k, dtype=np.int64) if 5 not in widths else np.fromiter(
+            (int(r[4]) if len(r) == 5 else 1 for r in records), np.int64, k)
+        if (np.isnan(value).any() or (cnt < 1).any()
+                or (floor is not None and (ts < floor).any())):
+            raise ValueError("a row fails a check")
+    except (TypeError, ValueError, OverflowError):
+        for i, record in zip(numbers, records):
+            _, _, v, t, _ = _coerce_record(record, f"record {i}")
+            if floor is not None and t < floor:
+                raise AppendOrderError(f"record {i}: timestamp {t} predates graph "
+                                       f"max {floor} (append-only)") from None
+            if v < 0 and rejects is not None:
+                rejects.append((i, f"negative value {v}"))
+        raise
+    keep = value >= 0
+    if not keep.all():
+        if rejects is not None:
+            bad = np.flatnonzero(~keep).tolist()
+            rejects.extend((numbers[j], f"negative value {v}")
+                           for j, v in zip(bad, value[bad].tolist()))
+        src, dst = list(compress(src, keep)), list(compress(dst, keep))
+        value, ts, cnt = value[keep], ts[keep], cnt[keep]
+    return src, dst, value, ts, cnt
+
+
+def _append(base: TransactionGraph, records, numbers, rejects,
+            version: int, floor=None) -> tuple:
+    """`_grow` on the rows of `records`, numbered by `numbers` (1, 2, ...
+    when None); new addresses get ids in first-appearance order."""
+    records = list(records)
+    numbers = range(1, len(records) + 1) if numbers is None else list(numbers)
+    src, dst, w, ts, c = _parse(records, numbers, rejects, floor)
+    ends = list(chain.from_iterable(zip(src, dst)))
+    ids = dict(base._ids)
+    n_old = base.num_nodes
+    addresses = base._addresses + [a for a in dict.fromkeys(ends) if a not in ids]
+    ids.update(zip(addresses[n_old:], count(n_old)))
+    nid = np.fromiter(map(ids.__getitem__, ends), np.intp, len(ends))
+    max_ts = base.max_timestamp
+    if len(ts):
+        max_ts = int(ts.max()) if max_ts is None else max(max_ts, int(ts.max()))
+    return _grow(base, addresses, ids, nid[0::2], nid[1::2], w, ts, c,
+                 version, max_ts)
 
 
 def ingest_edges(records, rejects: list | None = None,
@@ -440,15 +445,7 @@ def ingest_edges(records, rejects: list | None = None,
     and, when `rejects` is given, recorded there as (record_number, reason).
     Records are numbered 1, 2, ... unless `numbers` gives each row's number.
     """
-    b = _Builder()
-    for i, record in zip(numbers or count(1), records):
-        src, dst, value, ts, cnt = _coerce_record(record, f"record {i}")
-        if value < 0:
-            if rejects is not None:
-                rejects.append((i, f"negative value {value}"))
-            continue
-        b.add(b.node_id(src), b.node_id(dst), value, ts, cnt)
-    return b.build(version=0)
+    return _append(_empty(), records, numbers, rejects, version=0)[0]
 
 
 def apply_batch(g: TransactionGraph, records,
@@ -462,38 +459,14 @@ def apply_batch(g: TransactionGraph, records,
     the nodes whose transition law changed in the corpus's walk mode.
     Records are numbered as in `ingest_edges`.
     """
-    b = _Builder(g)
-    prev_n = g.num_nodes
-    touched = set()
-    batch_edges = {}
-    for i, record in zip(numbers or count(1), records):
-        src, dst, value, ts, cnt = _coerce_record(record, f"record {i}")
-        if g.max_timestamp is not None and ts < g.max_timestamp:
-            raise AppendOrderError(
-                f"record {i}: timestamp {ts} predates graph max "
-                f"{g.max_timestamp} (append-only)")
-        if value < 0:
-            if rejects is not None:
-                rejects.append((i, f"negative value {value}"))
-            continue
-        s = b.node_id(src)
-        d = b.node_id(dst)
-        b.add(s, d, value, ts, cnt)
-        touched.add(s)
-        touched.add(d)
-        prev = batch_edges.get((s, d))
-        if prev is None:
-            batch_edges[(s, d)] = [value, ts, cnt]
-        else:
-            prev[0] += value
-            prev[1] = min(prev[1], ts)
-            prev[2] += cnt
-    new_nodes = frozenset(u for u in touched if u >= prev_n)
-    affected = frozenset(u for u in touched if u < prev_n)
-    new_edges = tuple(TxEdge(s, d, w, ts, c)
-                      for (s, d), (w, ts, c) in sorted(batch_edges.items()))
-    delta = GraphDelta(g.version, g.version + 1, new_nodes, affected, new_edges)
-    return b.build(g.version + 1, base=g), delta
+    g2, block = _append(g, records, numbers, rejects, g.version + 1,
+                        floor=g.max_timestamp)
+    ends = np.concatenate(block[:2])
+    delta = GraphDelta(g.version, g.version + 1,
+                       frozenset(range(g.num_nodes, g2.num_nodes)),
+                       frozenset(ends[ends < g.num_nodes].tolist()),
+                       tuple(map(TxEdge, *(col.tolist() for col in block))))
+    return g2, delta
 
 
 def diff_graphs(g_prev: TransactionGraph, g_next: TransactionGraph) -> GraphDelta:
@@ -502,43 +475,33 @@ def diff_graphs(g_prev: TransactionGraph, g_next: TransactionGraph) -> GraphDelt
     Both graphs must share the id assignment (g_next grown from g_prev).
     Edge rows in the result carry the weight/count difference.
     """
-    if g_next.num_nodes < g_prev.num_nodes or g_next.version <= g_prev.version:
+    n_prev, n = g_prev.num_nodes, g_next.num_nodes
+    if n < n_prev or g_next.version <= g_prev.version:
         raise StateMismatchError(
-            f"graph v{g_next.version} (|V|={g_next.num_nodes}) is not a successor "
-            f"of v{g_prev.version} (|V|={g_prev.num_nodes})")
-    for u in range(g_prev.num_nodes):
-        if g_prev._addresses[u] != g_next._addresses[u]:
-            raise StateMismatchError(
-                f"graphs disagree on node {u}: {g_prev._addresses[u]!r} vs "
-                f"{g_next._addresses[u]!r}; not the same lineage")
-    new_nodes = frozenset(range(g_prev.num_nodes, g_next.num_nodes))
-    affected = set()
-    new_edges = []
-    for u in range(g_prev.num_nodes):
-        old = g_prev._out[u]
-        new = g_next._out[u]
-        if old is new:
-            continue
-        for v, e in new.items():
-            o = old.get(v)
-            if o is None:
-                new_edges.append(e)
-            elif e.weight != o.weight or e.count != o.count:
-                new_edges.append(TxEdge(u, v, e.weight - o.weight,
-                                        e.timestamp, e.count - o.count))
-            else:
-                continue
-            affected.add(u)
-            if v < g_prev.num_nodes:
-                affected.add(v)
-    for u in new_nodes:
-        for v, e in g_next._out[u].items():
-            new_edges.append(e)
-            if v < g_prev.num_nodes:
-                affected.add(v)
-    new_edges.sort(key=lambda e: (e.src, e.dst))
-    return GraphDelta(g_prev.version, g_next.version, new_nodes,
-                      frozenset(affected), tuple(new_edges))
+            f"graph v{g_next.version} (|V|={n}) is not a successor "
+            f"of v{g_prev.version} (|V|={n_prev})")
+    if g_prev._addresses != g_next._addresses[:n_prev]:
+        u = next(u for u, (a, b) in enumerate(zip(g_prev._addresses,
+                                                  g_next._addresses)) if a != b)
+        raise StateMismatchError(
+            f"graphs disagree on node {u}: {g_prev._addresses[u]!r} vs "
+            f"{g_next._addresses[u]!r}; not the same lineage")
+    keys = _rows(g_next._indptr) * n + g_next._dst
+    pos, changed = _lookup(g_prev._indptr, g_prev._dst, n, keys)
+    at, was = np.flatnonzero(~changed), pos[~changed]
+    weight, tally = g_next._weight.copy(), g_next._count.copy()
+    changed[at] = (weight[at] != g_prev._weight[was]) | (tally[at] != g_prev._count[was])
+    weight[at] -= g_prev._weight[was]
+    tally[at] -= g_prev._count[was]
+    k = np.flatnonzero(changed)
+    src, dst = keys[k] // n, g_next._dst[k]
+    ends = np.concatenate([src, dst])
+    return GraphDelta(g_prev.version, g_next.version,
+                      frozenset(range(n_prev, n)),
+                      frozenset(ends[ends < n_prev].tolist()),
+                      tuple(map(TxEdge, src.tolist(), dst.tolist(),
+                                weight[k].tolist(), g_next._ts[k].tolist(),
+                                tally[k].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +535,14 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     malformed row is named by its input record number, as ingest names it.
     """
     try:
-        order = sorted(range(len(records)), key=lambda i: int(records[i][3]))
-    except (IndexError, TypeError, ValueError):
+        stamps = np.fromiter(map(int, map(itemgetter(3), records)), np.int64,
+                             len(records))
+    except (IndexError, TypeError, ValueError, OverflowError):
         # name the first bad row the way ingest would
         for i, record in enumerate(records):
             _coerce_record(record, f"record {i + 1}")
         raise
+    order = np.argsort(stamps, kind="stable").tolist()
     rows = [records[i] for i in order]
     numbers = [i + 1 for i in order]
     sizes = segment_sizes(len(rows), initial_frac, step_frac)
@@ -625,17 +590,43 @@ def save_graph(g: TransactionGraph, path):
         fh.write(f"version {g.version}\n")
         max_ts = g.max_timestamp if g.max_timestamp is not None else "none"
         fh.write(f"maxts {max_ts}\n")
-        for u in g.nodes():
-            fh.write(f"node {u} {g.address_of(u)}\n")
-        for e in g.edges():
-            fh.write(f"edge {e.src} {e.dst} {e.weight!r} {e.timestamp} {e.count}\n")
+        fh.writelines(f"node {u} {a}\n" for u, a in enumerate(g._addresses))
+        fh.writelines(f"edge {s} {d} {w!r} {t} {c}\n" for s, d, w, t, c in zip(
+            _rows(g._indptr).tolist(), g._dst.tolist(), g._weight.tolist(),
+            g._ts.tolist(), g._count.tolist()))
+
+
+_CHUNK = 8192  # edge lines converted at a time, to bound the token strings held
+
+
+def _edge_chunk(path, chunk, n: int) -> tuple:
+    """(src, dst, weight, ts, count) columns of the edge lines in `chunk`,
+    as (line number, line, fields); the first line that is malformed or
+    names a node outside 0..n-1 raises ParseError."""
+    def columns(rows):
+        k, cols = len(rows), list(zip(*rows))
+        s, d, ts, c = (np.fromiter(map(int, cols[i]), np.int64, k) for i in (1, 2, 4, 5))
+        if not ((s >= 0) & (s < n) & (d >= 0) & (d < n)).all():
+            raise ValueError("node id out of range")
+        return s, d, np.fromiter(map(float, cols[3]), np.float64, k), ts, c
+    try:
+        return columns([fields for _, _, fields in chunk])
+    except (IndexError, ValueError, OverflowError):
+        for line_no, line, fields in chunk:
+            try:
+                columns([fields])
+            except (IndexError, ValueError, OverflowError):
+                raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
+        raise
 
 
 def load_graph(path) -> TransactionGraph:
-    """Read a graph dump written by save_graph."""
-    b = _Builder()
-    version = 0
-    max_ts = None
+    """Read a graph dump written by save_graph. Edge lines are converted in
+    chunks, flushed before any other line, so the first bad line names the
+    error and an edge may only name nodes listed above it."""
+    version, max_ts, ids = 0, None, {}
+    ints = np.empty(0, dtype=np.intp)
+    chunk, columns = [], [(ints, ints, np.empty(0), ints, ints)]
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().rstrip("\n")
         parts = head.split()
@@ -651,28 +642,32 @@ def load_graph(path) -> TransactionGraph:
             if not fields:
                 continue
             tag = fields[0]
+            if chunk and (tag != "edge" or len(chunk) == _CHUNK):
+                columns.append(_edge_chunk(path, chunk, len(ids)))
+                chunk = []
             try:
-                if tag == "version":
+                if tag == "edge":
+                    chunk.append((line_no, line, fields))
+                elif tag == "version":
                     version = int(fields[1])
                 elif tag == "maxts":
                     max_ts = None if fields[1] == "none" else int(fields[1])
                 elif tag == "node":
                     nid = int(fields[1])
-                    if b.node_id(fields[2]) != nid:
+                    if ids.setdefault(fields[2], len(ids)) != nid:
                         raise ParseError(f"{path}:{line_no}: node ids out of order")
-                elif tag == "edge":
-                    s, d = int(fields[1]), int(fields[2])
-                    w, ts, c = float(fields[3]), int(fields[4]), int(fields[5])
-                    b.add(s, d, w, ts, c)
                 else:
                     raise ParseError(f"{path}:{line_no}: unknown tag {tag!r}")
             except (IndexError, ValueError):
                 raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
-    if declared_nodes != len(b.addresses) or declared_edges != b.num_edges:
-        raise ParseError(
-            f"{path}: header declares nodes={declared_nodes} edges={declared_edges} "
-            f"but file has {len(b.addresses)}/{b.num_edges}")
+    if chunk:
+        columns.append(_edge_chunk(path, chunk, len(ids)))
+    s, d, w, ts, c = map(np.concatenate, zip(*columns))
     # aggregated edges keep earliest timestamps, so the true high-water mark
     # only survives through the maxts line
-    b.max_ts = max_ts
-    return b.build(version=version)
+    g = _grow(_empty(), list(ids), ids, s, d, w, ts, c, version, max_ts)[0]
+    if declared_nodes != g.num_nodes or declared_edges != g.num_edges:
+        raise ParseError(
+            f"{path}: header declares nodes={declared_nodes} edges={declared_edges} "
+            f"but file has {g.num_nodes}/{g.num_edges}")
+    return g

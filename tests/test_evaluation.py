@@ -19,7 +19,7 @@ from walkforge import (
 )
 from walkforge.evaluation import _logreg_gradient
 from walkforge.walks import WalkCorpus
-from conftest import rows_from_edges
+from conftest import random_rows, rows_from_edges
 
 
 def corpus_of(walks, num_nodes, mode="uniform"):
@@ -76,6 +76,11 @@ def test_theoretical_is_inverse_out_degree():
     for (u, _), p in theo.items():
         rows[u] = rows.get(u, 0.0) + p
     assert all(abs(total - 1.0) < 1e-12 for total in rows.values())
+    g = ingest_edges(random_rows(30, 120, seed=4))
+    expected = {(u, v): 1.0 / len(g.out_neighbors(u))
+                for u in g.nodes() for v in g.out_neighbors(u)}
+    theo = theoretical_transitions(g)
+    assert list(theo.items()) == list(expected.items())  # same keys, order, floats
 
 
 def test_delta_mae_zero_for_exact_corpus():

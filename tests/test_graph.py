@@ -3,13 +3,14 @@ import os
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walkforge import (
     AppendOrderError,
     ConfigError,
     ParseError,
     UnknownNodeError,
+    WalkforgeError,
     apply_batch,
     diff_graphs,
     ingest_edges,
@@ -19,7 +20,7 @@ from walkforge import (
     segment_schedule,
     segment_sizes,
 )
-from walkforge.graph import STAT_KINDS
+from walkforge.graph import STAT_KINDS, _coerce_record
 from conftest import random_rows, rows_from_edges
 
 
@@ -300,16 +301,14 @@ def test_append_only_growth(base, batch):
 
 
 @given(base=edge_lists, batches=st.lists(edge_lists, min_size=1, max_size=3))
-def test_out_csr_splice_matches_sorted_adjacency(base, batches):
+def test_out_csr_matches_sorted_adjacency_over_batches(base, batches):
     # batch ids run to 18, so batches also bring new nodes
     g = ingest_edges(rows_from_edges(base))
-    g.out_csr()
     ts = 10_000
     for batch in batches:
         g, _ = apply_batch(g, [(f"n{2 * u}", f"n{2 * v}", w, ts + i)
                                for i, (u, v, w) in enumerate(batch)])
         ts += len(batch)
-        assert g._csr_base is not None  # derived from the parent's view
         csr = g.out_csr()
         assert len(csr.indptr) == g.num_nodes + 1
         assert csr.indptr[-1] == g.num_edges
@@ -321,8 +320,9 @@ def test_out_csr_splice_matches_sorted_adjacency(base, batches):
 
 @given(base=edge_lists, batches=st.lists(edge_lists, max_size=3))
 def test_in_csr_matches_transposed_edges(base, batches):
+    # each version's in_csr() is built before the next batch, so every later
+    # version's is merged into its parent's
     g = ingest_edges(rows_from_edges(base))
-    g.out_csr()
     ts = 10_000
     for batch in [None, *batches]:
         if batch is not None:  # batch ids run to 18, so batches add nodes
@@ -382,7 +382,7 @@ def test_cached_stats_equal_brute_force(tmp_path_factory, edges, batch):
     g = ingest_edges(rows_from_edges(edges))
     shifted = [(f"n{u}", f"n{v}", w, 10_000 + i)
                for i, (u, v, w) in enumerate(batch)]
-    g2, _ = apply_batch(g, shifted)  # through the copy-on-write builder
+    g2, _ = apply_batch(g, shifted)  # merged onto the parent's columns
     path = tmp_path_factory.mktemp("dump") / "g.wfg"
     save_graph(g2, path)
     for graph in (g, g2, load_graph(path)):
@@ -390,6 +390,151 @@ def test_cached_stats_equal_brute_force(tmp_path_factory, edges, batch):
         for u in graph.nodes():
             for kind, val in brute_force_stats(graph, u).items():
                 assert graph.node_stat(u, kind) == pytest.approx(val)
+
+
+# ---------------------------------------------------------------------------
+# oracle: a row-by-row reference builder
+# ---------------------------------------------------------------------------
+
+class RowByRowGraph:
+    """Reference for ingest_edges + apply_batch: one dict entry per edge,
+    every row validated and folded in on its own, in input order."""
+
+    def __init__(self):
+        self.ids, self.edges, self.stats = {}, {}, []
+        self.max_ts = None
+
+    def node(self, address):
+        if address not in self.ids:
+            self.ids[address] = len(self.ids)
+            self.stats.append({"V_in": 0.0, "V_out": 0.0, "F": 0, "D_in": 0, "D_out": 0})
+        return self.ids[address]
+
+    def add_rows(self, rows, numbers, rejects, append):
+        """Fold rows in; returns (new nodes, affected nodes, batch edges)."""
+        n_old, floor = len(self.ids), self.max_ts if append else None
+        batch, touched = {}, set()
+        for i, row in zip(numbers, rows):
+            src, dst, value, ts, cnt = _coerce_record(row, f"record {i}")
+            if floor is not None and ts < floor:
+                raise AppendOrderError(f"record {i}: timestamp {ts} predates "
+                                       f"graph max {floor} (append-only)")
+            if value < 0:
+                rejects.append((i, f"negative value {value}"))
+                continue
+            s, d = self.node(src), self.node(dst)
+            for table in (self.edges, batch):
+                e = table.get((s, d))
+                if e is None:
+                    table[(s, d)] = [value, ts, cnt]
+                else:
+                    e[0], e[1], e[2] = e[0] + value, min(e[1], ts), e[2] + cnt
+            if self.edges[(s, d)][2] == cnt:  # the edge is new
+                self.stats[s]["D_out"] += 1
+                self.stats[d]["D_in"] += 1
+            self.stats[s]["V_out"] += value
+            self.stats[d]["V_in"] += value
+            self.stats[s]["F"] += cnt
+            if d != s:
+                self.stats[d]["F"] += cnt
+            self.max_ts = ts if self.max_ts is None else max(self.max_ts, ts)
+            touched |= {s, d}
+        return ({u for u in touched if u >= n_old}, {u for u in touched if u < n_old},
+                sorted((s, d, w.hex(), ts, c) for (s, d), (w, ts, c) in batch.items()))
+
+    def snapshot(self):
+        return (list(self.ids), self.max_ts,
+                sorted((s, d, w.hex(), ts, c) for (s, d), (w, ts, c) in self.edges.items()),
+                [{k: float(v).hex() for k, v in st.items()} for st in self.stats])
+
+
+def snapshot(g):
+    return ([g.address_of(u) for u in g.nodes()], g.max_timestamp,
+            [(e.src, e.dst, e.weight.hex(), e.timestamp, e.count) for e in g.edges()],
+            [{k: v.hex() for k, v in g.node_stats(u).items()} for u in g.nodes()])
+
+
+VALUES = [0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 1.0, 1e16, 1e-17, -1.0, -0.5]
+
+oracle_rows = st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 5), st.sampled_from(VALUES), st.booleans(),
+    st.integers(0, 2), st.one_of(st.none(), st.integers(1, 3))), max_size=40)
+
+FAULTS = [None, ("value", "x"), ("value", "nan"), ("ts", -1), ("ts", "soon"),
+          ("src", "a b"), ("dst", " "), ("count", 0), ("value", -3.0)]
+
+
+@settings(max_examples=150)
+@given(spec=oracle_rows, cuts=st.lists(st.integers(0, 40), max_size=3),
+       fault=st.sampled_from(FAULTS), where=st.integers(0, 39))
+# ((0.1 + 0.2) + 0.3) != 0.1 + (0.2 + 0.3): a batch adds onto an edge row by row
+@example(spec=[(0, 1, 0.1, False, 0, None), (0, 1, 0.2, False, 1, None),
+               (0, 1, 0.3, False, 1, None)], cuts=[1], fault=None, where=0)
+def test_columnar_build_equals_row_by_row_reference(spec, cuts, fault, where):
+    rows, ts = [], 0
+    for u, v, w, as_text, dt, cnt in spec:
+        ts += dt
+        row = [f" n{u}" if dt else f"n{u}", f"n{v}", repr(w) if as_text else w, ts]
+        rows.append(tuple(row if cnt is None else row + [cnt]))
+    if fault is not None and rows:
+        k = where % len(rows)
+        field, bad = fault
+        row = list(rows[k])
+        if field == "count":
+            row[4:] = [bad]
+        else:
+            row[("src", "dst", "value", "ts").index(field)] = bad
+        rows[k] = tuple(row)
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    ref, g = RowByRowGraph(), None
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        numbers = list(range(lo + 1, hi + 1))
+        ref_rejects, rejects = [], []
+        try:
+            expected = ref.add_rows(rows[lo:hi], numbers, ref_rejects, append=k > 0)
+        except WalkforgeError as exc:
+            expected = exc
+        try:
+            if k == 0:
+                g = ingest_edges(rows[lo:hi], rejects=rejects, numbers=numbers)
+            else:
+                g, delta = apply_batch(g, rows[lo:hi], rejects=rejects, numbers=numbers)
+        except WalkforgeError as exc:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+            assert rejects == ref_rejects
+            return
+        assert not isinstance(expected, Exception)
+        assert rejects == ref_rejects
+        assert snapshot(g) == ref.snapshot()
+        if k > 0:
+            assert (delta.new_nodes, delta.affected_nodes) == expected[:2]
+            assert [(e.src, e.dst, e.weight.hex(), e.timestamp, e.count)
+                    for e in delta.new_edges] == expected[2]
+
+
+def test_negative_zero_edge_keeps_its_sign_in_the_dump(tmp_path):
+    g = ingest_edges([("a", "b", -0.0, 3), ("a", "b", "-0.0", 4), ("b", "c", 1.0, 5)])
+    g, _ = apply_batch(g, [("a", "b", -0.0, 6)])
+    path = tmp_path / "g.wfg"
+    save_graph(g, path)
+    assert "edge 0 1 -0.0 3 3" in path.read_text().splitlines()
+    # node sums start from +0.0, so the same rows leave a +0.0 stat
+    assert g.node_stat(0, "V_out").hex() == "0x0.0p+0"
+    save_graph(load_graph(path), tmp_path / "again.wfg")
+    assert (tmp_path / "again.wfg").read_bytes() == path.read_bytes()
+
+
+def test_negative_value_rows_give_their_addresses_no_id():
+    rejects = []
+    g = ingest_edges([("a", "b", 1.0, 0), ("x", "y", -1.0, 1), ("b", "y", 2.0, 2)],
+                     rejects=rejects)
+    assert rejects == [(2, "negative value -1.0")]
+    assert [g.address_of(u) for u in g.nodes()] == ["a", "b", "y"]
+    with pytest.raises(UnknownNodeError):
+        g.id_of("x")
+    g2, delta = apply_batch(g, [("z", "a", -3.0, 5), ("a", "w", 1.0, 6)])
+    assert [g2.address_of(u) for u in g2.nodes()] == ["a", "b", "y", "w"]
+    assert delta.new_nodes == {3} and delta.affected_nodes == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +570,30 @@ def test_load_rejects_corrupt_header(tmp_path):
     path.write_text("NOT-A-GRAPH v9\n")
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+def test_load_names_the_first_bad_line_in_file_order(tmp_path):
+    head = "WALKFORGE-GRAPH v1 nodes=2 edges=1\nversion 0\nmaxts 1\n"
+    path = tmp_path / "g.wfg"
+    # an edge may only name nodes listed above it
+    path.write_text(head + "node 0 a\nedge 0 1 1.0 1 1\nnode 1 b\n")
+    with pytest.raises(ParseError, match=r"g.wfg:5: malformed line 'edge 0 1 1.0 1 1\\n'"):
+        load_graph(path)
+    # a bad edge line is named before a later bad node line
+    path.write_text(head + "node 0 a\nnode 1 b\nedge 0 1 x 1 1\nnode z\n")
+    with pytest.raises(ParseError, match=r"g.wfg:6: malformed line"):
+        load_graph(path)
+
+
+def test_versions_share_node_id_objects():
+    # ids past 256, which CPython does not cache as shared int objects
+    g = ingest_edges(rows_from_edges([(u, u + 1) for u in range(300)]))
+    parent = g.out_csr().tokens
+    g2, _ = apply_batch(g, [("n300", "x", 1.0, 500)])
+    tokens = g2.out_csr().tokens
+    assert tokens.tolist() == list(g2.nodes())
+    assert all(tokens[u] is parent[u] for u in g.nodes())
+    assert g2.in_csr().tokens is tokens
 
 
 def test_read_edge_csv(tmp_path):
