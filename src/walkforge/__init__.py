@@ -46,7 +46,6 @@ from .incremental import (
     UpdatePlan,
     naive_update,
     plan_update,
-    trim_walk,
     unbiased_update,
 )
 from .embedding import (

@@ -129,7 +129,7 @@ def train_logreg(X, y, cfg: LogRegConfig | None = None) -> LogRegModel:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
         raise InputError("need a 2-D feature matrix with one label per row")
-    if len(np.unique(y)) < 2:
+    if y.min() == y.max():
         raise InputError("labels are a single class; nothing to separate")
     if cfg.lr is not None:
         step = cfg.lr

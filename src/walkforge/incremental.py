@@ -86,18 +86,6 @@ def plan_update(corpus: WalkCorpus, delta: GraphDelta,
                       delta.new_nodes, affected_nodes)
 
 
-def trim_walk(walk, affected_nodes) -> tuple:
-    """Prefix of the walk up to and including its first affected node.
-
-    The affected node stays: its history is still valid, only its outgoing
-    distribution changed, so resampling restarts from it.
-    """
-    for i, u in enumerate(walk):
-        if u in affected_nodes:
-            return tuple(walk[:i + 1])
-    raise ValueError("walk contains no affected node")
-
-
 def _check_versions(corpus, g_next, delta):
     if corpus.graph_version != delta.src_version:
         raise VersionMismatchError(
@@ -155,11 +143,11 @@ def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
     out = corpus.copy()
     sampler = make_sampler(g_next, cfg, mode)
     affected = sorted(plan.affected_walks)
-    prefixes = None
     if mode == MODE_UNIFORM:
-        prefixes = [trim_walk(corpus.walks[w], plan.affected_nodes)
-                    for w in affected]
-    out.replace_walks(affected, *sampler.walks(affected, prefixes))
+        resampled = sampler.walks(affected, *corpus.trim_rows(affected, plan.affected_nodes))
+    else:
+        resampled = sampler.walks(affected)
+    out.replace_walks(affected, *resampled)
     n = cfg.num_walks
     out.append_walks(*sampler.walks([u * n + i for u in sorted(plan.new_nodes)
                                      for i in range(n)]))

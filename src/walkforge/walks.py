@@ -18,14 +18,18 @@ A rejected step consumes walk budget but appends nothing: repeated tokens
 add no co-occurrence pairs and only inflate the corpus. Walks end early
 when the candidate set is empty (sink regions).
 
-Both samplers advance a block of walks in lockstep, as numpy arrays, in
-the manner of KnightKing (Yang et al., SOSP 2019). The leap sampler
-builds a row for each node its walks reach, once per graph version: the
-node's sorted capped frontier and, per slot, the acceptance threshold
-min(1, R) + alpha_min, whose return distances all come from one upstream
-BFS. A leap step is then a gather of the slot, one comparison and an
-append. A node whose frontier overflows the cap has no row; walks there
-take the scalar guard path, which is approximate and counted.
+Both modes share one loop that advances a block of walks in lockstep, as
+numpy arrays, in the manner of KnightKing (Yang et al., SOSP 2019): step
+s writes token s + 1 of every live walk, and each mode supplies only a
+vectorised step from the current nodes to the next ones. The leap
+sampler builds a row for each node its walks reach, once per graph
+version: the node's sorted capped frontier and, per slot, the acceptance
+threshold min(1, R) + alpha_min, whose return distances all come from
+one upstream BFS. A leap step is then a gather of the slot and one
+comparison; a rejected leap writes its node again, and that repeat is
+dropped when the block ends. A node whose frontier overflows the cap has
+no row; walks there take the guard path inside the same step, which is
+approximate and counted.
 
 Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
 walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
@@ -171,9 +175,13 @@ def mh_acceptance(g: TransactionGraph, curr: int, v: int, cfg: WalkConfig) -> fl
 # ---------------------------------------------------------------------------
 
 class _Sampler:
-    """Shared state of both walk modes: the graph version walked, the
-    config, the candidate draws made, and the leap steps that took the
-    frontier-overflow guard path or exhausted its retries."""
+    """Shared state of both walk modes and their one lockstep loop: the
+    graph version walked, the config, the candidate draws made, and the
+    leap steps that took the frontier-overflow guard path or exhausted its
+    retries. A mode supplies `step` and the number of keyed uniforms it
+    draws per walk and step (`draws_per_step`)."""
+
+    draws_per_step = 1
 
     def __init__(self, g: TransactionGraph, cfg: WalkConfig):
         self.g = g
@@ -182,78 +190,76 @@ class _Sampler:
         self.overflows = 0
         self.exhausted = 0
 
-    def walks(self, walk_ids, prefixes=None) -> tuple:
+    def walks(self, walk_ids, rows=None, start=None) -> tuple:
         """(walks, tokens): the walks with these corpus indices as tuples,
-        and as int32 rows padded with -1 to l (or the longest prefix).
-        Walk w starts at node w // num_walks; with `prefixes`, walk k
-        instead continues prefixes[k] from step len(prefixes[k]) - 1."""
-        width = self.cfg.walk_length
-        if prefixes is not None:
-            width = max(width, max(map(len, prefixes), default=0))
-        walks, rows = [], [np.empty((0, width), dtype=np.int32)]
+        and as int32 rows padded with -1. Walk w starts at node
+        w // num_walks. With `rows` (int32, at least l wide), walk k instead
+        resumes from token start[k] of rows[k]: the tokens after it are
+        dropped, the walk is advanced in place, and `rows` is returned."""
+        ids = np.asarray(walk_ids, dtype=np.intp)
+        if rows is None:
+            rows = np.full((len(ids), self.cfg.walk_length), -1, dtype=np.int32)
+            rows[:, 0] = ids // self.cfg.num_walks
+            start = np.zeros(len(ids), dtype=np.intp)
+        else:
+            rows[np.arange(rows.shape[1]) > start[:, None]] = -1
+        walks = []
         objs = self.g.out_csr().tokens
-        for lo in range(0, len(walk_ids), _BLOCK):
-            hi = lo + _BLOCK
-            ids = np.asarray(walk_ids[lo:hi], dtype=np.intp)
-            if prefixes is None:
-                tok = np.full((len(ids), width), -1, dtype=np.int32)
-                tok[:, 0] = ids // self.cfg.num_walks
-                start = np.zeros(len(ids), dtype=np.intp)
-            else:
-                part = prefixes[lo:hi]
-                tok = _pad(part, width)
-                start = np.fromiter(map(len, part), dtype=np.intp,
-                                    count=len(ids)) - 1
-            ends = self._block(ids, tok, start).tolist()
-            if prefixes is None:
-                walks += [tuple(r[:e]) for r, e in zip(objs[tok].tolist(), ends)]
-            else:
-                walks += [p + tuple(r[len(p):e])
-                          for p, r, e in zip(part, objs[tok].tolist(), ends)]
-            rows.append(tok)
-        return walks, np.concatenate(rows)
+        for lo in range(0, len(ids), _BLOCK):
+            tok = rows[lo:lo + _BLOCK]
+            self._block(ids[lo:lo + _BLOCK], tok, start[lo:lo + _BLOCK])
+            ends = (tok >= 0).sum(axis=1).tolist()
+            walks += [tuple(r[:e]) for r, e in zip(objs[tok].tolist(), ends)]
+        return walks, rows
 
-
-def _lockstep(start, steps: int):
-    """Yield (s, walks that join at step s) for s in range(steps): walk k
-    takes its first step at step start[k]."""
-    by_start = np.argsort(start, kind="stable")
-    cuts = np.searchsorted(start[by_start], np.arange(steps + 1)).tolist()
-    for s in range(steps):
-        yield s, by_start[cuts[s]:cuts[s + 1]]
+    def _block(self, ids, tok, start):
+        """Advance the walks of `tok` in place: row k holds walk ids[k] up
+        to its token start[k] and -1 after it. Step s draws the walk's
+        keyed uniforms s * draws_per_step onwards and writes token s + 1 of
+        every live walk; -1 from `step` ends the walk."""
+        steps, d = self.cfg.walk_length - 1, self.draws_per_step
+        unif = keyed_uniforms(self.cfg.seed, ids, range(d * steps)).reshape(len(ids), steps, d)
+        by_start = np.argsort(start, kind="stable")
+        cuts = np.searchsorted(start[by_start], np.arange(steps + 1)).tolist()
+        act = by_start[:0]
+        for s in range(steps):
+            if cuts[s] < cuts[s + 1]:  # walks resumed at token s join here
+                act = np.concatenate([act, by_start[cuts[s]:cuts[s + 1]]])
+            nxt = self.step(tok[act, s], unif[act, s])
+            tok[act, s + 1] = nxt
+            live = nxt >= 0
+            if not live.all():
+                act = act[live]
+            self.draws += len(act)
 
 
 class UniformSampler(_Sampler):
     """Classic out-neighbor random walk; the baseline corpus generator.
 
-    All walks of a block advance in lockstep over the graph's CSR view:
-    step s of walk w moves to out-neighbour floor(U(w, s) * degree) of the
-    sorted neighbour list, or ends the walk at a sink.
+    Step s of walk w moves to out-neighbour floor(U(w, s) * degree) of the
+    sorted neighbour list in the graph's CSR view, or ends the walk at a
+    sink.
     """
 
     mode = MODE_UNIFORM
 
-    def _block(self, ids, tok, start) -> np.ndarray:
-        """Advance the walks of `tok` (row k holding walk ids[k] up to
-        token start[k]) in place; returns each walk's length."""
-        csr = self.g.out_csr()
-        indptr, indices = csr.indptr, csr.indices
-        unif = keyed_uniforms(self.cfg.seed, ids, range(self.cfg.walk_length - 1))
-        length = start + 1
-        act = start[:0]
-        for s, joining in _lockstep(start, self.cfg.walk_length - 1):
-            if len(joining):
-                act = np.concatenate([act, joining])
-            cur = tok[act, s]
-            lo = indptr[cur]
-            deg = indptr[cur + 1] - lo
-            if not deg.all():  # walks at a sink end here
-                live = np.flatnonzero(deg)
-                act, lo, deg = act[live], lo[live], deg[live]
-            tok[act, s + 1] = indices[lo + (unif[act, s] * deg).astype(np.intp)]
-            length[act] = s + 2
-            self.draws += len(act)
-        return length
+    def __init__(self, g: TransactionGraph, cfg: WalkConfig):
+        super().__init__(g, cfg)
+        csr = g.out_csr()
+        self._indptr, self._indices = csr.indptr, csr.indices
+
+    def step(self, cur, unif) -> np.ndarray:
+        """The next node of each walk at the nodes `cur`, on one uniform per
+        walk (the rows of `unif`), or -1 at a sink."""
+        lo = self._indptr[cur]
+        deg = self._indptr[cur + 1] - lo
+        pick = lo + (unif[:, 0] * deg).astype(np.intp)
+        if deg.all():
+            return self._indices[pick]
+        nxt = np.full(len(cur), -1, dtype=self._indices.dtype)
+        live = deg > 0
+        nxt[live] = self._indices[pick[live]]
+        return nxt
 
 
 class LeapSampler(_Sampler):
@@ -261,15 +267,15 @@ class LeapSampler(_Sampler):
 
     The row of node u holds its sorted capped frontier and, per slot v,
     the threshold min(1, R(u, v)) + alpha_min; all return distances of a
-    row come from one upstream BFS from u. All walks of a block advance in
-    lockstep: step s of a walk at u picks slot floor(U(w, 2s) * |row|) and
-    leaps there when U(w, 2s + 1) is below its threshold. A walk at a node
-    whose frontier overflows the cap takes the scalar guard path instead
-    (`step`); those steps are counted in `overflows`, and the ones whose
-    retries ran out in `exhausted`.
+    row come from one upstream BFS from u. Step s of a walk at u picks slot
+    floor(U(w, 2s) * |row|) and leaps there when U(w, 2s + 1) is below its
+    threshold. A walk at a node whose frontier overflows the cap takes the
+    guard path instead; those steps are counted in `overflows`, and the
+    ones whose retries ran out in `exhausted`.
     """
 
     mode = MODE_MH
+    draws_per_step = 2
 
     def __init__(self, g: TransactionGraph, cfg: WalkConfig):
         super().__init__(g, cfg)
@@ -280,14 +286,14 @@ class LeapSampler(_Sampler):
                            + [_q_value(cfg, d) for d in range(1, cfg.hop + 1)])
         self._p = None  # p(u) + eps of every node, read when rows are built
         # row of u: slots start[u] .. start[u] + size[u] of fr (frontier
-        # node) and th (threshold); size -1 marks an overflow, -2 no row yet
+        # node) and th (threshold); size -1 marks an overflow, -2 no row yet.
+        # Slot 0 is the start of every empty row: a walk that picks it takes
+        # -1 whatever its acceptance uniform, so it ends. Walks at an
+        # overflow node pick it too, and the guard path overwrites them.
         self._start = np.zeros(g.num_nodes, dtype=np.intp)
         self._size = np.full(g.num_nodes, -2, dtype=np.intp)
-        self._fr = np.empty(0, dtype=np.intp)
-        self._th = np.empty(0)
-        # u -> (frontier or None, thresholds) as Python objects, for step:
-        # a scalar step reading numpy elements would be several times slower
-        self._rows = {}
+        self._fr = np.array([-1], dtype=np.intp)
+        self._th = np.array([np.inf])
         self._guards = {}  # overflow node u -> (<h ball, upstream hops)
 
     def _thresholds(self, curr, v, back) -> np.ndarray:
@@ -302,22 +308,20 @@ class LeapSampler(_Sampler):
 
     def _build(self, nodes):
         """Build the rows of the nodes that have none yet."""
-        new = np.unique(nodes[self._size[nodes] == -2]).tolist()
+        new = sorted(set(nodes[self._size[nodes] == -2].tolist()))
         if not new:
             return
         g, h = self.g, self.cfg.hop
-        rows, curr, slots, back = [], [], [], []
+        curr, slots, back = [], [], []
         for u in new:
             frontier, ball = g.capped_frontier(u, h, self._cap)
             if frontier is None:
                 self._size[u] = -1
-                self._rows[u] = (None, None)
                 self._guards[u] = (ball, g.upstream_hops(u, h))
                 continue
-            self._start[u] = len(self._fr) + len(slots)
             self._size[u] = len(frontier)
-            rows.append((u, frontier, len(slots)))
             if frontier:
+                self._start[u] = len(self._fr) + len(slots)
                 hops = g.upstream_hops(u, h)
                 curr += [u] * len(frontier)
                 slots += frontier
@@ -327,9 +331,6 @@ class LeapSampler(_Sampler):
                               np.array(back, dtype=np.intp))
         self._fr = np.concatenate([self._fr, slots])
         self._th = np.concatenate([self._th, th])
-        th = th.tolist()
-        for u, frontier, lo in rows:
-            self._rows[u] = (frontier, th[lo:lo + len(frontier)])
 
     def _draw_beyond_ball(self, curr: int, ball, u_prop: float) -> int | None:
         """Guard path for oversized frontiers: random h-step forward
@@ -354,64 +355,40 @@ class LeapSampler(_Sampler):
                 return x
         return None
 
-    def step(self, curr: int, u_prop: float, u_acc: float) -> int | None:
-        """One chain step on two uniforms in [0, 1): the accepted candidate,
-        curr itself on rejection, or None when the frontier is empty (the
-        walk must stop). It reads curr's row; at an overflow node it takes
-        the guard path."""
-        row = self._rows.get(curr)
-        if row is None:
-            self.g._check(curr)
-            self._build(np.array([curr]))
-            row = self._rows[curr]
-        frontier, th = row
-        if frontier is None:
-            self.draws += 1
+    def step(self, cur, unif) -> np.ndarray:
+        """One chain step of each walk at the nodes `cur`, on two uniforms
+        per walk (the rows of `unif`: proposal, acceptance). Returns the
+        accepted candidate, cur itself on rejection, or -1 at an empty
+        frontier (the walk ends). A walk at an overflow node takes the
+        guard path."""
+        self._build(cur)
+        size = self._size[cur]
+        slot = self._start[cur] + (unif[:, 0] * size).astype(np.intp)
+        nxt = np.where(unif[:, 1] < self._th[slot], self._fr[slot], cur)
+        for k in np.flatnonzero(size < 0).tolist():
+            u = int(cur[k])
+            u_prop, u_acc = unif[k].tolist()
+            ball, hops = self._guards[u]
+            v = self._draw_beyond_ball(u, ball, u_prop)
             self.overflows += 1
-            ball, hops = self._guards[curr]
-            v = self._draw_beyond_ball(curr, ball, u_prop)
             if v is None:
                 self.exhausted += 1
-                return curr  # retries exhausted; step consumed
-            return v if u_acc < self._thresholds(curr, v, hops.get(v, 0)) else curr
-        if not frontier:
-            return None
-        self.draws += 1
-        i = int(u_prop * len(frontier))
-        return frontier[i] if u_acc < th[i] else curr
+                nxt[k] = u  # retries exhausted; step consumed
+            else:
+                nxt[k] = v if u_acc < self._thresholds(u, v, hops.get(v, 0)) else u
+        return nxt
 
-    def _block(self, ids, tok, start) -> np.ndarray:
-        """Advance the walks of `tok` (row k holding walk ids[k] up to
-        token start[k]) in place; returns each walk's length."""
-        steps = self.cfg.walk_length - 1
-        unif = keyed_uniforms(self.cfg.seed, ids, range(2 * steps))
-        pos = start.copy()  # token index of each walk's current node
-        act = start[:0]
-        for s, joining in _lockstep(start, steps):
-            if len(joining):
-                act = np.concatenate([act, joining])
-            cur = tok[act, pos[act]]
-            self._build(cur)
-            size = self._size[cur]
-            if not size.all():  # walks at an empty frontier end here
-                live = np.flatnonzero(size)
-                act, cur, size = act[live], cur[live], size[live]
-            leap = size > 0  # the others are at an overflow node
-            if not leap.all():  # the guard path, one scalar step per walk
-                for k, u in zip(act[~leap].tolist(), cur[~leap].tolist()):
-                    v = self.step(u, *unif[k, 2 * s:2 * s + 2].tolist())
-                    if v != u:
-                        pos[k] += 1
-                        tok[k, pos[k]] = v
-            leapers = act[leap]
-            slot = (self._start[cur[leap]]
-                    + (unif[leapers, 2 * s] * size[leap]).astype(np.intp))
-            acc = unif[leapers, 2 * s + 1] < self._th[slot]
-            moved = leapers[acc]
-            pos[moved] += 1
-            tok[moved, pos[moved]] = self._fr[slot[acc]]
-            self.draws += len(leapers)
-        return pos + 1
+    def _block(self, ids, tok, start):
+        """The shared loop writes a rejected leap's node again. A leap never
+        lands on its own node (a uniform step along a self-loop does), so
+        every repeat after token start[k] is a rejection, and is dropped."""
+        super()._block(ids, tok, start)
+        cols = np.arange(tok.shape[1])
+        keep = np.ones(tok.shape, dtype=bool)
+        keep[:, 1:] = (tok[:, 1:] != tok[:, :-1]) | (cols[1:] <= start[:, None])
+        kept = tok[keep]
+        tok[...] = -1
+        tok[cols < keep.sum(axis=1)[:, None]] = kept
 
 
 def make_sampler(g: TransactionGraph, cfg: WalkConfig, mode: str):
@@ -453,10 +430,13 @@ def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
     (cfg.seed, walk_index). The prefix itself is never modified."""
     if not prefix:
         raise ConfigError("cannot resume an empty walk")
-    g._check(prefix[-1])
+    for u in prefix:  # the returned walk reads every prefix node off the graph
+        g._check(u)
     if sampler is None:
         sampler = make_sampler(g, cfg, mode)
-    return sampler.walks([walk_index], [tuple(prefix)])[0][0]
+    row = np.full((1, max(cfg.walk_length, len(prefix))), -1, dtype=np.int32)
+    row[0, :len(prefix)] = prefix
+    return sampler.walks([walk_index], row, np.array([len(prefix) - 1]))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +477,17 @@ class WalkCorpus:
         """Sorted indices of the walks that pass through any of the nodes."""
         nodes = np.fromiter(nodes, dtype=np.int32)
         return np.flatnonzero(np.isin(self.tokens, nodes).any(axis=1)).tolist()
+
+    def trim_rows(self, ids, nodes) -> tuple:
+        """(rows, start): a copy of the token rows of the walks `ids`, and
+        the index of each row's first token in `nodes` (0 if none is), the
+        token a uniform walk resumes from when those nodes changed."""
+        rows = self.tokens[np.asarray(ids, dtype=np.intp)]
+        nodes = list(nodes)
+        # table[u]: u is one of the nodes; the -1 padding reads the last entry
+        table = np.zeros(max(self.num_nodes, max(nodes, default=0) + 1) + 1, dtype=bool)
+        table[nodes] = True
+        return rows, table[rows].argmax(axis=1)
 
     def flat_tokens(self) -> tuple:
         """(every token as intp, length of each walk), in corpus order."""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -241,3 +246,32 @@ def test_classify_eval_stratified_split_sizes():
     report = classify_eval(emb, set(range(10)), split=0.8, repeats=2, seed=4)
     for rec in report.per_repeat:
         assert rec["train_size"] == 16 and rec["test_size"] == 4
+
+
+MH_PIPELINE = """
+import sys
+from walkforge import (SkipGramConfig, WalkConfig, apply_batch, classify_eval,
+                       generate_corpus, ingest_edges, train, unbiased_update)
+from walkforge.synth import sbm_stream
+rows, labels = sbm_stream((20, 20), p_in=0.3, p_out=0.02, seed=1)
+cut = len(rows) * 3 // 4
+g = ingest_edges(rows[:cut])
+cfg = WalkConfig(num_walks=4, walk_length=6, hop=2, seed=1)
+corpus = generate_corpus(g, cfg, "mh")
+g2, delta = apply_batch(g, rows[cut:])
+corpus = unbiased_update(corpus, g2, delta, cfg, "mh")
+emb = train(corpus, SkipGramConfig(dim=8, seed=1))
+classify_eval(emb, {g2.id_of(a) for a, b in labels.items() if b == 0}, repeats=2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_mh_pipeline_leaves_numpy_ma_unimported():
+    """numpy.ma costs about 1 MB and 10-20 ms to import; np.unique without
+    optional outputs imports it, and so does np.isin when it sorts."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", MH_PIPELINE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

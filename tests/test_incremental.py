@@ -12,13 +12,13 @@ from walkforge import (
     UpdatePlan,
     VersionMismatchError,
     WalkConfig,
+    WalkCorpus,
     apply_batch,
     diff_graphs,
     generate_corpus,
     ingest_edges,
     naive_update,
     plan_update,
-    trim_walk,
     unbiased_update,
 )
 from walkforge.walks import build_node_index
@@ -165,12 +165,33 @@ def test_uniform_update_is_regeneration(case, seed):
         assert updated.node_index == scratch.node_index
 
 
-def test_trim_walk_cases():
-    assert trim_walk((10, 11, 12, 11), {11}) == (10, 11)
-    assert trim_walk((11, 12), {11}) == (11,)
-    assert trim_walk((10, 12, 13), {13}) == (10, 12, 13)
-    with pytest.raises(ValueError):
-        trim_walk((1, 2, 3), {9})
+def test_uniform_update_trims_token_rows_at_first_affected_node():
+    """A hand-built corpus on 0 -> 1, 2 -> 3 -> 0, one row wider than l.
+    The batch 1 -> 2 closes the cycle 0 -> 1 -> 2 -> 3 -> 0, so node 1 is
+    affected and every continuation is forced; 4 -> 0 adds a new node."""
+    g = ingest_edges(rows_from_edges([(0, 1), (2, 3), (3, 0)]))
+    cfg = WalkConfig(num_walks=2, walk_length=5, seed=3)
+    walks = [(0, 1), (0, 2),          # last token; no affected node
+             (1,), (1, 3, 1, 3, 0),   # origin; repeated
+             (2, 3, 0, 3, 0, 1, 3),   # wider than l; affected past token l - 1
+             (2, 1, 3, 1),            # mid-walk, then repeated
+             (3, 0, 1), (3, 0)]
+    corpus = WalkCorpus(walks, g.version, 2, 5, "uniform", g.num_nodes)
+    assert corpus.tokens.shape == (8, 7)
+    g2, delta = apply_batch(g, [("n1", "n2", 1.0, 10), ("n4", "n0", 1.0, 11)])
+    updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
+    assert plan_update(corpus, delta, g2).affected_nodes == {1}
+    assert updated.walks == [
+        (0, 1, 2, 3, 0), (0, 2),
+        (1, 2, 3, 0, 1), (1, 2, 3, 0, 1),
+        (2, 3, 0, 3, 0, 1),
+        (2, 1, 2, 3, 0),
+        (3, 0, 1, 2, 3), (3, 0),
+        (4, 0, 1, 2, 3), (4, 0, 1, 2, 3)]
+    assert updated.walks[1] is walks[1] and updated.walks[7] is walks[7]
+    assert_rows_are_padded_walks(updated)
+    assert updated.tokens.shape == (10, 7)
+    assert corpus.walks == walks  # the parent corpus is untouched
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +239,9 @@ def test_unbiased_prefix_preservation_and_cardinality():
     assert updated.node_index == build_node_index(updated.walks)
     assert len(updated) == len(corpus) + cfg.num_walks * len(delta.new_nodes)
     for i in plan.affected_walks:
-        prefix = trim_walk(corpus.walks[i], plan.affected_nodes)
-        assert updated.walks[i][:len(prefix)] == prefix
+        walk = corpus.walks[i]
+        first = min(walk.index(u) for u in plan.affected_nodes if u in walk)
+        assert updated.walks[i][:first + 1] == walk[:first + 1]
 
 
 def test_unbiased_work_bound():

@@ -9,11 +9,13 @@ from scipy.stats import chi2_contingency
 from walkforge import (
     ConfigError,
     ParseError,
+    UnknownNodeError,
     WalkConfig,
     generate_corpus,
     ingest_edges,
     leap_transition_matrix,
     load_corpus,
+    load_graph,
     mean_defacto_length,
     mh_acceptance,
     resume_walk,
@@ -175,12 +177,13 @@ def test_chain_step_frequencies_match_exact_matrix_small():
     P = leap_transition_matrix(g, cfg)
     sampler = LeapSampler(g, cfg)
     rng = rng_(11)
-    counts = np.zeros((6, 6))
-    curr = 0
-    for u_prop, u_acc in rng.random((100_000, 2)).tolist():
-        nxt = sampler.step(curr, u_prop, u_acc)
-        counts[curr, nxt] += 1
+    counts = np.zeros(36)
+    curr = np.zeros(100, dtype=np.intp)  # 100 chains from node 0
+    for _ in range(1000):
+        nxt = sampler.step(curr, rng.random((len(curr), 2)))
+        counts += np.bincount(curr * 6 + nxt, minlength=36)
         curr = nxt
+    counts = counts.reshape(6, 6)
     emp = counts / counts.sum(axis=1, keepdims=True)
     assert np.abs(emp - P).max() < 0.03
 
@@ -201,13 +204,12 @@ def test_frontier_guard_samples_exact_distance():
     cfg = WalkConfig(hop=1, alpha_min=1.0, frontier_cap=8, seed=0)
     sampler = LeapSampler(g, cfg)
     rng = rng_(9)
-    seen = set()
-    for u_prop, u_acc in rng.random((300, 2)).tolist():
-        nxt = sampler.step(0, u_prop, u_acc)
-        assert nxt is not None and nxt != 0
-        assert g.shortest_hop(0, nxt, cap=1) == 1
-        seen.add(nxt)
-    assert len(seen) > 10  # spread across the hub's targets
+    nxt = sampler.step(np.zeros(300, dtype=np.intp), rng.random((300, 2))).tolist()
+    assert sampler.overflows == 300 and sampler.exhausted == 0
+    for v in nxt:
+        assert v >= 0 and v != 0
+        assert g.shortest_hop(0, v, cap=1) == 1
+    assert len(set(nxt)) > 10  # spread across the hub's targets
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +217,36 @@ def test_frontier_guard_samples_exact_distance():
 # ---------------------------------------------------------------------------
 
 def chained_steps(g, cfg, ids, prefixes):
-    """The walks made by chaining the scalar step over each walk's keyed
-    draws, and the sampler that made them."""
-    sampler = LeapSampler(g, cfg)
+    """Oracle: each walk chained one step at a time over its keyed draws,
+    from the capped frontier and mh_acceptance, with the guard expansion
+    (`_draw_beyond_ball`) at overflow nodes; and the (draws, overflows,
+    exhausted) counts that makes."""
+    guard = LeapSampler(g, cfg)
+    cap = 64 * cfg.hop if cfg.frontier_cap is None else cfg.frontier_cap
     l = cfg.walk_length
     draws = keyed_uniforms(cfg.seed, ids, range(2 * (l - 1))).tolist()
+    counts = [0, 0, 0]
     out = []
     for k, (w, u) in enumerate(zip(ids, draws)):
         walk = [w // cfg.num_walks] if prefixes is None else list(prefixes[k])
         for s in range(len(walk) - 1, l - 1):
-            nxt = sampler.step(walk[-1], u[2 * s], u[2 * s + 1])
-            if nxt is None:
+            curr, u_prop, u_acc = walk[-1], u[2 * s], u[2 * s + 1]
+            frontier, ball = g.capped_frontier(curr, cfg.hop, cap)
+            if frontier == ():
                 break
-            if nxt != walk[-1]:
-                walk.append(nxt)
+            counts[0] += 1
+            if frontier is None:
+                counts[1] += 1
+                v = guard._draw_beyond_ball(curr, ball, u_prop)
+                if v is None:
+                    counts[2] += 1
+                    continue
+            else:
+                v = frontier[int(u_prop * len(frontier))]
+            if u_acc < mh_acceptance(g, curr, v, cfg) + cfg.alpha_min:
+                walk.append(v)
         out.append(tuple(walk))
-    return out, sampler
+    return out, tuple(counts)
 
 
 @given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
@@ -245,29 +261,36 @@ def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat
                      target_stat=stat, proposal=proposal, frontier_cap=cap,
                      seed=seed)
     ids = list(range(g.num_nodes * cfg.num_walks))
+    sampler = LeapSampler(g, cfg)
     prefixes = None
     if prefixed:  # up to l + 1 nodes: a prefix may already be complete
         rng = rng_(seed)
         prefixes = [tuple(rng.integers(g.num_nodes, size=rng.integers(1, 8)).tolist())
                     for _ in ids]
-    sampler = LeapSampler(g, cfg)
-    walks, tokens = sampler.walks(ids, prefixes)
-    expected, scalar = chained_steps(g, cfg, ids, prefixes)
+        rows = np.full((len(ids), 8), 7, dtype=np.int32)  # stale tokens to drop
+        for row, p in zip(rows, prefixes):
+            row[:len(p)] = p
+        start = np.array([len(p) - 1 for p in prefixes])
+        walks, tokens = sampler.walks(ids, rows, start)
+        assert tokens is rows
+    else:
+        walks, tokens = sampler.walks(ids)
+    expected, counts = chained_steps(g, cfg, ids, prefixes)
     assert walks == expected
-    assert (sampler.draws, sampler.overflows, sampler.exhausted) == \
-        (scalar.draws, scalar.overflows, scalar.exhausted)
+    assert (sampler.draws, sampler.overflows, sampler.exhausted) == counts
     assert tokens.dtype == np.int32
     assert tokens.tolist() == [list(w) + [-1] * (tokens.shape[1] - len(w)) for w in walks]
     # every row built holds the capped frontier and, slot by slot, the
-    # oracle's acceptance plus alpha_min
-    for u, (frontier, thresholds) in sampler._rows.items():
+    # oracle's acceptance plus alpha_min; an overflow node has size -1
+    for u in np.flatnonzero(sampler._size > -2).tolist():
+        frontier, _ = g.capped_frontier(u, hop, sampler._cap)
+        size = sampler._size[u]
         if frontier is None:
-            assert g.capped_frontier(u, hop, sampler._cap)[0] is None
+            assert size == -1
             continue
-        assert frontier == g.capped_frontier(u, hop)[0]
-        lo, size = sampler._start[u], sampler._size[u]
+        lo = sampler._start[u]
         assert sampler._fr[lo:lo + size].tolist() == list(frontier)
-        assert sampler._th[lo:lo + size].tolist() == thresholds == [
+        assert sampler._th[lo:lo + size].tolist() == [
             mh_acceptance(g, u, v, cfg) + cfg.alpha_min for v in frontier]
 
 
@@ -324,6 +347,18 @@ def test_node_index_matches_rebuild_oracle():
     assert build_node_index(corpus.walks) == oracle
 
 
+def test_edgeless_dump_gives_length_one_walks(tmp_path):
+    path = tmp_path / "nodes.wfg"
+    path.write_text("WALKFORGE-GRAPH v1 nodes=3 edges=0\nversion 0\nmaxts none\n"
+                    "node 0 a\nnode 1 b\nnode 2 c\n")
+    g = load_graph(path)
+    for mode, hop in (("uniform", 1), ("mh", 1), ("mh", 2)):
+        counter = DrawCounter()
+        corpus = generate_corpus(g, WalkConfig(num_walks=2, hop=hop), mode, counter=counter)
+        assert corpus.walks == [(0,), (0,), (1,), (1,), (2,), (2,)]
+        assert counter.draws == 0
+
+
 def test_empty_graph_rejected():
     g = ingest_edges([])
     with pytest.raises(Exception):
@@ -350,6 +385,13 @@ def test_resume_empty_prefix_rejected():
     g = ingest_edges([("a", "b", 1.0, 0)])
     with pytest.raises(ConfigError):
         resume_walk(g, (), WalkConfig(), "uniform", 0)
+
+
+def test_resume_rejects_unknown_prefix_nodes():
+    g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
+    for prefix in ((-1, 0), (0, 3), (7,)):
+        with pytest.raises(UnknownNodeError):
+            resume_walk(g, prefix, WalkConfig(walk_length=3), "uniform", 0)
 
 
 def chi2_two_sample(counts_a, counts_b, min_expected=5.0):
