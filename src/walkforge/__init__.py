@@ -38,7 +38,6 @@ from .walks import (
     load_corpus,
     mean_defacto_length,
     mh_acceptance,
-    resume_walk,
     save_corpus,
 )
 from .incremental import (

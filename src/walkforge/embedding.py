@@ -262,7 +262,7 @@ def train(corpus: WalkCorpus, cfg: SkipGramConfig,
     Every graph node gets a row (walk origins cover all nodes); nodes below
     min_count or trapped in length-1 walks simply receive no updates.
     """
-    if not corpus.walks:
+    if not len(corpus):
         raise ValueError("corpus has no walks")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     inp, out = _init_matrices(corpus.num_nodes, cfg.dim, rng)

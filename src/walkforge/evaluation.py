@@ -41,7 +41,7 @@ class TransitionTable:
 
 
 def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
-    if not corpus.walks:
+    if not len(corpus):
         raise ValueError("corpus has no walks")
     tokens, lengths = corpus.flat_tokens()
     width = int(tokens.max()) + 1

@@ -50,14 +50,11 @@ class CSR:
     """One direction of the sorted adjacency of one version, as arrays.
 
     The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, in
-    ascending order. `tokens[u]` is node id u as one int object shared by
-    every walk built from this version and its successors, so a corpus
-    holds one object per node rather than one per token.
+    ascending order.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    tokens: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class TransactionGraph:
     """
 
     def __init__(self, addresses, ids, edges, nodes, version, max_timestamp,
-                 in_adj, tokens):
+                 in_adj):
         self._addresses, self._ids = addresses, ids
         self._indptr, self._dst, self._weight, self._ts, self._count = edges
         self._d_in, self._v_in, self._v_out, self._freq = nodes
@@ -100,7 +97,6 @@ class TransactionGraph:
         self.max_timestamp = max_timestamp
         self.num_edges = len(self._dst)
         self._in_adj = in_adj  # (indptr, indices) of in_csr(), once built
-        self._tokens = tokens  # int objects of the first len(tokens) node ids
 
     # -- lookups -----------------------------------------------------------
 
@@ -132,16 +128,9 @@ class TransactionGraph:
         self._check(u)
         return tuple(self._dst[self._indptr[u]:self._indptr[u + 1]].tolist())
 
-    def _node_tokens(self) -> np.ndarray:
-        """Node ids as int objects, extending (and so sharing) the parent's."""
-        if len(self._tokens) < self.num_nodes:
-            new = np.arange(len(self._tokens), self.num_nodes).astype(object)
-            self._tokens = np.concatenate([self._tokens, new])
-        return self._tokens
-
     def out_csr(self) -> CSR:
         """The stored out-adjacency as a CSR view."""
-        return CSR(self._indptr, self._dst, self._node_tokens())
+        return CSR(self._indptr, self._dst)
 
     def in_csr(self) -> CSR:
         """The in-adjacency, once per version: row v lists the sources of
@@ -150,7 +139,7 @@ class TransactionGraph:
             n = self.num_nodes
             keys = np.sort(self._dst * n + _rows(self._indptr))
             self._in_adj = _merge(np.zeros(1, dtype=np.intp), self._dst[:0], n, keys)[:2]
-        return CSR(*self._in_adj, self._node_tokens())
+        return CSR(*self._in_adj)
 
     def edge(self, u: int, v: int) -> TxEdge | None:
         self._check(u)
@@ -278,8 +267,7 @@ def _empty() -> TransactionGraph:
     """The graph with no nodes, the base of ingest_edges and load_graph."""
     ints, floats = np.empty(0, dtype=np.intp), np.empty(0)
     return TransactionGraph([], {}, (np.zeros(1, dtype=np.intp), ints, floats, ints, ints),
-                            (ints, floats, floats, ints), 0, None, None,
-                            np.empty(0, dtype=object))
+                            (ints, floats, floats, ints), 0, None, None)
 
 
 def _lookup(indptr, indices, n: int, keys) -> tuple:
@@ -339,8 +327,7 @@ def _grow(base: TransactionGraph, addresses, ids, s, d, w, ts, c,
     in_adj = None
     if base._in_adj is not None:  # merge the new (dst, src) pairs into it
         in_adj = _merge(*base._in_adj, n, np.sort(new_dst[fresh] * n + src[fresh]))[:2]
-    g = TransactionGraph(addresses, ids, edges, nodes, version, max_ts, in_adj,
-                         base._tokens)
+    g = TransactionGraph(addresses, ids, edges, nodes, version, max_ts, in_adj)
     return g, (src, new_dst, *block)
 
 

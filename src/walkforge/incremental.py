@@ -147,10 +147,10 @@ def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
         resampled = sampler.walks(affected, *corpus.trim_rows(affected, plan.affected_nodes))
     else:
         resampled = sampler.walks(affected)
-    out.replace_walks(affected, *resampled)
+    out.replace_walks(affected, resampled)
     n = cfg.num_walks
-    out.append_walks(*sampler.walks([u * n + i for u in sorted(plan.new_nodes)
-                                     for i in range(n)]))
+    out.append_walks(sampler.walks([u * n + i for u in sorted(plan.new_nodes)
+                                    for i in range(n)]))
     out.graph_version = g_next.version
     out.num_nodes = g_next.num_nodes
     if counter is not None:

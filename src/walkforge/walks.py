@@ -31,6 +31,10 @@ dropped when the block ends. A node whose frontier overflows the cap has
 no row; walks there take the guard path inside the same step, which is
 approximate and counted.
 
+A sampler speaks token rows only: `walks(ids, rows, start)` returns the
+int32 rows it stepped, and resumes walks from given rows. The corpus
+turns rows into tuples, and is the only code that does.
+
 Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
 walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
 position w * 2**32 + c + 1 of the stream the seed starts. A uniform
@@ -190,12 +194,12 @@ class _Sampler:
         self.overflows = 0
         self.exhausted = 0
 
-    def walks(self, walk_ids, rows=None, start=None) -> tuple:
-        """(walks, tokens): the walks with these corpus indices as tuples,
-        and as int32 rows padded with -1. Walk w starts at node
-        w // num_walks. With `rows` (int32, at least l wide), walk k instead
-        resumes from token start[k] of rows[k]: the tokens after it are
-        dropped, the walk is advanced in place, and `rows` is returned."""
+    def walks(self, walk_ids, rows=None, start=None) -> np.ndarray:
+        """The walks with these corpus indices as int32 rows padded with -1.
+        Walk w starts at node w // num_walks. With `rows` (int32, at least l
+        wide), walk k instead resumes from token start[k] of rows[k]: the
+        tokens after it are dropped, the walk is advanced in place, and
+        `rows` is returned."""
         ids = np.asarray(walk_ids, dtype=np.intp)
         if rows is None:
             rows = np.full((len(ids), self.cfg.walk_length), -1, dtype=np.int32)
@@ -203,14 +207,9 @@ class _Sampler:
             start = np.zeros(len(ids), dtype=np.intp)
         else:
             rows[np.arange(rows.shape[1]) > start[:, None]] = -1
-        walks = []
-        objs = self.g.out_csr().tokens
         for lo in range(0, len(ids), _BLOCK):
-            tok = rows[lo:lo + _BLOCK]
-            self._block(ids[lo:lo + _BLOCK], tok, start[lo:lo + _BLOCK])
-            ends = (tok >= 0).sum(axis=1).tolist()
-            walks += [tuple(r[:e]) for r, e in zip(objs[tok].tolist(), ends)]
-        return walks, rows
+            self._block(ids[lo:lo + _BLOCK], rows[lo:lo + _BLOCK], start[lo:lo + _BLOCK])
+        return rows
 
     def _block(self, ids, tok, start):
         """Advance the walks of `tok` in place: row k holds walk ids[k] up
@@ -420,26 +419,6 @@ def leap_transition_matrix(g: TransactionGraph, cfg: WalkConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Walk-level operations
-# ---------------------------------------------------------------------------
-
-def resume_walk(g: TransactionGraph, prefix, cfg: WalkConfig, mode: str,
-                walk_index: int, sampler=None) -> tuple:
-    """Extend a walk prefix on (a possibly newer) graph until walk_length
-    or a sink, from step len(prefix) - 1 on, with the draws keyed by
-    (cfg.seed, walk_index). The prefix itself is never modified."""
-    if not prefix:
-        raise ConfigError("cannot resume an empty walk")
-    for u in prefix:  # the returned walk reads every prefix node off the graph
-        g._check(u)
-    if sampler is None:
-        sampler = make_sampler(g, cfg, mode)
-    row = np.full((1, max(cfg.walk_length, len(prefix))), -1, dtype=np.int32)
-    row[0, :len(prefix)] = prefix
-    return sampler.walks([walk_index], row, np.array([len(prefix) - 1]))[0][0]
-
-
-# ---------------------------------------------------------------------------
 # Corpus
 # ---------------------------------------------------------------------------
 
@@ -448,8 +427,9 @@ class WalkCorpus:
 
     `tokens` is an int32 (walks, width) matrix whose row i is walk i padded
     with -1; width is l, or the longest walk if that is longer. `walks`
-    holds the same walks as tuples. The matrix is the corpus's only derived
-    structure, and this class the only code that knows its layout.
+    holds the same walks as tuples, which `_tuples` alone builds from token
+    rows. The matrix is the corpus's only derived structure, and this class
+    the only code that knows its layout.
     """
 
     def __init__(self, walks, graph_version: int, n: int, l: int, mode: str,
@@ -462,9 +442,10 @@ class WalkCorpus:
         self.mode = mode
         self.num_nodes = num_nodes
         self.tokens = _pad(walks, l) if tokens is None else tokens
+        self._ids = np.empty(0, dtype=object)  # node id u as one int object
 
     def __len__(self) -> int:
-        return len(self.walks)
+        return len(self.tokens)
 
     @property
     def node_index(self) -> dict:
@@ -475,19 +456,23 @@ class WalkCorpus:
 
     def walks_containing(self, nodes) -> list:
         """Sorted indices of the walks that pass through any of the nodes."""
-        nodes = np.fromiter(nodes, dtype=np.int32)
-        return np.flatnonzero(np.isin(self.tokens, nodes).any(axis=1)).tolist()
+        return np.flatnonzero(self._table(nodes)[self.tokens].any(axis=1)).tolist()
 
     def trim_rows(self, ids, nodes) -> tuple:
         """(rows, start): a copy of the token rows of the walks `ids`, and
         the index of each row's first token in `nodes` (0 if none is), the
         token a uniform walk resumes from when those nodes changed."""
         rows = self.tokens[np.asarray(ids, dtype=np.intp)]
+        return rows, self._table(nodes)[rows].argmax(axis=1)
+
+    def _table(self, nodes) -> np.ndarray:
+        """table[u]: u is one of the nodes; the -1 padding reads the last
+        entry. Indexing it with tokens scans the corpus by node without
+        np.isin, whose sort path imports numpy.ma."""
         nodes = list(nodes)
-        # table[u]: u is one of the nodes; the -1 padding reads the last entry
         table = np.zeros(max(self.num_nodes, max(nodes, default=0) + 1) + 1, dtype=bool)
         table[nodes] = True
-        return rows, table[rows].argmax(axis=1)
+        return table
 
     def flat_tokens(self) -> tuple:
         """(every token as intp, length of each walk), in corpus order."""
@@ -495,20 +480,41 @@ class WalkCorpus:
         return self.tokens[real].astype(np.intp), real.sum(axis=1)
 
     def copy(self) -> "WalkCorpus":
-        return WalkCorpus(list(self.walks), self.graph_version, self.n,
-                          self.l, self.mode, self.num_nodes,
-                          tokens=self.tokens.copy())
+        out = WalkCorpus(list(self.walks), self.graph_version, self.n,
+                         self.l, self.mode, self.num_nodes,
+                         tokens=self.tokens.copy())
+        out._ids = self._ids
+        return out
 
-    def replace_walks(self, ids, walks, tokens):
-        """Put walks (with their token rows, as a sampler returns them) at
-        the indices `ids`."""
-        for i, walk in zip(ids, walks):
+    def replace_walks(self, ids, rows):
+        """Put the walks of these token rows at the indices `ids`."""
+        for i, walk in zip(ids, self._tuples(rows)):
             self.walks[i] = walk
-        self.tokens[np.asarray(ids, dtype=np.intp)] = self._fit(tokens)
+        self.tokens[np.asarray(ids, dtype=np.intp)] = self._fit(rows)
 
-    def append_walks(self, walks, tokens):
-        self.walks += walks
-        self.tokens = np.concatenate([self.tokens, self._fit(tokens)])
+    def append_walks(self, rows):
+        """Append the walks of these token rows; an empty corpus takes the
+        rows as its matrix."""
+        rows = self._fit(rows)
+        self.walks += self._tuples(rows)
+        self.tokens = np.concatenate([self.tokens, rows]) if len(self.tokens) else rows
+
+    def _tuples(self, rows) -> list:
+        """The walks of token rows as tuples, built _BLOCK rows at a time
+        from `_ids`: one int object per node id, shared with the corpus's
+        copies and extended to the rows' largest id, so a corpus carried
+        across versions holds one object per node rather than one per
+        token."""
+        need = int(rows.max(initial=-1)) + 1
+        if len(self._ids) < need:
+            new = np.arange(len(self._ids), need).astype(object)
+            self._ids = np.concatenate([self._ids, new])
+        walks = []
+        for lo in range(0, len(rows), _BLOCK):
+            tok = rows[lo:lo + _BLOCK]
+            ends = (tok >= 0).sum(axis=1).tolist()
+            walks += [tuple(r[:e]) for r, e in zip(self._ids[tok].tolist(), ends)]
+        return walks
 
     def _fit(self, tokens) -> np.ndarray:
         """Token rows padded with -1 to the corpus width (a hand-built
@@ -546,18 +552,18 @@ def generate_corpus(g: TransactionGraph, cfg: WalkConfig, mode: str,
     if g.num_nodes == 0:
         raise InputError("cannot generate walks on an empty graph")
     sampler = make_sampler(g, cfg, mode)
-    walks, tokens = sampler.walks(range(g.num_nodes * cfg.num_walks))
+    corpus = WalkCorpus([], g.version, cfg.num_walks, cfg.walk_length, mode, g.num_nodes)
+    corpus.append_walks(sampler.walks(range(g.num_nodes * cfg.num_walks)))
     if counter is not None:
         counter.add(sampler)
-    return WalkCorpus(walks, g.version, cfg.num_walks, cfg.walk_length, mode,
-                      g.num_nodes, tokens=tokens)
+    return corpus
 
 
 def mean_defacto_length(corpus: WalkCorpus) -> float:
     """Mean realized walk length; sinks and rejections make it < l."""
-    if not corpus.walks:
+    if not len(corpus):
         raise ValueError("corpus has no walks")
-    return sum(len(w) for w in corpus.walks) / len(corpus.walks)
+    return int(np.count_nonzero(corpus.tokens >= 0)) / len(corpus)
 
 
 # ---------------------------------------------------------------------------

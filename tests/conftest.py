@@ -47,3 +47,14 @@ def uniform_walk(g, u, l, rng):
             break
         walk.append(nbrs[rng.integers(len(nbrs))])
     return tuple(walk)
+
+
+def resumed(sampler, prefixes, walk_ids):
+    """The walks `sampler` resumes from these prefixes, with the draws of
+    these walk ids, in one call over token rows, as tuples."""
+    rows = np.full((len(prefixes), max(sampler.cfg.walk_length, *map(len, prefixes))),
+                   -1, dtype=np.int32)
+    for row, p in zip(rows, prefixes):
+        row[:len(p)] = p
+    rows = sampler.walks(walk_ids, rows, np.array([len(p) - 1 for p in prefixes]))
+    return [tuple(r[r >= 0].tolist()) for r in rows]

@@ -23,7 +23,6 @@ from walkforge import (
     ingest_edges,
     leap_transition_matrix,
     mean_defacto_length,
-    resume_walk,
     theoretical_transitions,
     train,
 )
@@ -32,7 +31,7 @@ from walkforge.graph import segment_sizes
 from walkforge.incremental import DrawCounter, naive_update, unbiased_update
 from walkforge.synth import preferential_attachment_stream, sbm_stream, sink_heavy_stream
 from walkforge.walks import LeapSampler, make_sampler
-from conftest import rows_from_edges, uniform_walk
+from conftest import resumed, rows_from_edges, uniform_walk
 
 
 def verdict(num, name, passed, detail=""):
@@ -394,15 +393,17 @@ def test_criterion_10_suffix_unbiasedness():
     cfg = WalkConfig(num_walks=1, walk_length=5, seed=0)
     sampler = make_sampler(g, cfg, "uniform")
     samples = 10_000
+    # walk node * samples + i is the i-th resumed from node, in one call
+    walks = resumed(sampler, [(node,) for node in g.nodes() for _ in range(samples)],
+                    range(g.num_nodes * samples))
     p_values = []
     for node in g.nodes():
-        fresh, resumed = Counter(), Counter()
+        fresh = Counter()
         for i in range(samples):
             rng = np.random.default_rng(np.random.SeedSequence(71, spawn_key=(node, i)))
             fresh[uniform_walk(g, node, cfg.walk_length, rng)] += 1
-            resumed[resume_walk(g, (node,), cfg, "uniform", node * samples + i,
-                                sampler=sampler)] += 1
-        p_values.append(float(chi2_two_sample(fresh, resumed)))
+        resumes = Counter(walks[node * samples:(node + 1) * samples])
+        p_values.append(float(chi2_two_sample(fresh, resumes)))
     accepted = sum(1 for p in p_values if p > 0.01)
     verdict(10, "suffix distribution unbiasedness", accepted >= 4,
             f"chi-square p-values={[round(p, 3) for p in p_values]}, "

@@ -10,15 +10,18 @@ from walkforge import (
     ConfigError,
     ParseError,
     UnknownNodeError,
+    WalkConfig,
     WalkforgeError,
     apply_batch,
     diff_graphs,
+    generate_corpus,
     ingest_edges,
     load_graph,
     read_edge_csv,
     save_graph,
     segment_schedule,
     segment_sizes,
+    unbiased_update,
 )
 from walkforge.graph import STAT_KINDS, _coerce_record
 from conftest import random_rows, rows_from_edges
@@ -315,7 +318,6 @@ def test_out_csr_matches_sorted_adjacency_over_batches(base, batches):
         for u in g.nodes():
             row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()
             assert tuple(row) == g.out_neighbors(u)
-        assert csr.tokens.tolist() == list(g.nodes())
 
 
 @given(base=edge_lists, batches=st.lists(edge_lists, max_size=3))
@@ -334,7 +336,6 @@ def test_in_csr_matches_transposed_edges(base, batches):
         assert [(v, u) for v in g.nodes() for u in
                 csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist()] == \
             sorted((e.dst, e.src) for e in g.edges())
-        assert csr.tokens.tolist() == list(g.nodes())
         for u in g.nodes():
             for h in (1, 2, 3):
                 assert g.upstream_hops(u, h) == {
@@ -588,12 +589,18 @@ def test_load_names_the_first_bad_line_in_file_order(tmp_path):
 def test_versions_share_node_id_objects():
     # ids past 256, which CPython does not cache as shared int objects
     g = ingest_edges(rows_from_edges([(u, u + 1) for u in range(300)]))
-    parent = g.out_csr().tokens
-    g2, _ = apply_batch(g, [("n300", "x", 1.0, 500)])
-    tokens = g2.out_csr().tokens
-    assert tokens.tolist() == list(g2.nodes())
-    assert all(tokens[u] is parent[u] for u in g.nodes())
-    assert g2.in_csr().tokens is tokens
+    cfg = WalkConfig(num_walks=2, walk_length=4, seed=1)
+    corpus = generate_corpus(g, cfg, "uniform")
+    # the sink n300 gains an out-edge to the new node x, and x one to n260
+    g2, delta = apply_batch(g, [("n300", "x", 1.0, 500), ("x", "n260", 1.0, 501)])
+    updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
+    assert updated.walks[2 * 298] == (298, 299, 300, 301)  # resampled
+    assert updated.walks[2 * 301:] == [(301, 260, 261, 262)] * 2  # appended
+    # one int object per node id across the corpus and its update
+    objects = {}
+    for walk in corpus.walks + updated.walks:
+        for u in walk:
+            assert objects.setdefault(u, u) is u
 
 
 def test_read_edge_csv(tmp_path):

@@ -9,7 +9,6 @@ from scipy.stats import chi2_contingency
 from walkforge import (
     ConfigError,
     ParseError,
-    UnknownNodeError,
     WalkConfig,
     generate_corpus,
     ingest_edges,
@@ -18,14 +17,13 @@ from walkforge import (
     load_graph,
     mean_defacto_length,
     mh_acceptance,
-    resume_walk,
     save_corpus,
 )
 from walkforge.graph import STAT_KINDS
 from walkforge.incremental import DrawCounter
 from walkforge.synth import sbm_stream
 from walkforge.walks import LeapSampler, build_node_index, keyed_uniforms, make_sampler
-from conftest import random_rows, rows_from_edges, uniform_walk
+from conftest import random_rows, resumed, rows_from_edges, uniform_walk
 
 
 def rng_(seed=0):
@@ -134,8 +132,8 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
     rows = random_rows(15, 60, seed=2)
     g = ingest_edges(rows)
     cfg = WalkConfig(walk_length=5, hop=2, alpha_min=1.0, seed=3)
-    for u in list(g.nodes())[:5]:
-        walk = resume_walk(g, (u,), cfg, "mh", u)
+    nodes = list(g.nodes())[:5]
+    for walk in resumed(LeapSampler(g, cfg), [(u,) for u in nodes], nodes):
         # accepted every step: full length unless a frontier emptied
         if len(walk) < 5:
             assert not g.h_hop_frontier(walk[-1], 2)
@@ -144,7 +142,7 @@ def test_mh_walk_alpha_floor_one_accepts_everything():
 def test_mh_walk_sink_chain():
     g = ingest_edges([("a", "b", 1.0, 0)])
     cfg = WalkConfig(walk_length=5, hop=1, alpha_min=1.0)
-    assert resume_walk(g, (g.id_of("a"),), cfg, "mh", 0) == (0, 1)
+    assert resumed(LeapSampler(g, cfg), [(g.id_of("a"),)], [0]) == [(0, 1)]
 
 
 def test_mh_walk_consecutive_pairs_at_exact_hop():
@@ -165,7 +163,7 @@ def test_mh_walk_step_budget():
     sampler = LeapSampler(g, cfg)
     for u in g.nodes():
         before = sampler.draws
-        resume_walk(g, (u,), cfg, "mh", u, sampler=sampler)
+        resumed(sampler, [(u,)], [u])
         assert sampler.draws - before <= cfg.walk_length - 1
 
 
@@ -271,15 +269,14 @@ def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat
         for row, p in zip(rows, prefixes):
             row[:len(p)] = p
         start = np.array([len(p) - 1 for p in prefixes])
-        walks, tokens = sampler.walks(ids, rows, start)
+        tokens = sampler.walks(ids, rows, start)
         assert tokens is rows
     else:
-        walks, tokens = sampler.walks(ids)
+        tokens = sampler.walks(ids)
     expected, counts = chained_steps(g, cfg, ids, prefixes)
-    assert walks == expected
-    assert (sampler.draws, sampler.overflows, sampler.exhausted) == counts
     assert tokens.dtype == np.int32
-    assert tokens.tolist() == [list(w) + [-1] * (tokens.shape[1] - len(w)) for w in walks]
+    assert tokens.tolist() == [list(w) + [-1] * (tokens.shape[1] - len(w)) for w in expected]
+    assert (sampler.draws, sampler.overflows, sampler.exhausted) == counts
     # every row built holds the capped frontier and, slot by slot, the
     # oracle's acceptance plus alpha_min; an overflow node has size -1
     for u in np.flatnonzero(sampler._size > -2).tolist():
@@ -371,27 +368,14 @@ def test_empty_graph_rejected():
 
 def test_resume_full_prefix_unchanged():
     g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
-    cfg = WalkConfig(walk_length=3)
-    assert resume_walk(g, (0, 1, 2), cfg, "uniform", 0) == (0, 1, 2)
+    sampler = make_sampler(g, WalkConfig(walk_length=3), "uniform")
+    assert resumed(sampler, [(0, 1, 2)], [0]) == [(0, 1, 2)]
 
 
 def test_resume_forced_path():
     g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
-    cfg = WalkConfig(walk_length=3)
-    assert resume_walk(g, (0,), cfg, "uniform", 0) == (0, 1, 2)
-
-
-def test_resume_empty_prefix_rejected():
-    g = ingest_edges([("a", "b", 1.0, 0)])
-    with pytest.raises(ConfigError):
-        resume_walk(g, (), WalkConfig(), "uniform", 0)
-
-
-def test_resume_rejects_unknown_prefix_nodes():
-    g = ingest_edges(rows_from_edges([(0, 1), (1, 2)]))
-    for prefix in ((-1, 0), (0, 3), (7,)):
-        with pytest.raises(UnknownNodeError):
-            resume_walk(g, prefix, WalkConfig(walk_length=3), "uniform", 0)
+    sampler = make_sampler(g, WalkConfig(walk_length=3), "uniform")
+    assert resumed(sampler, [(0,)], [0]) == [(0, 1, 2)]
 
 
 def chi2_two_sample(counts_a, counts_b, min_expected=5.0):
@@ -420,13 +404,10 @@ def test_resumed_suffix_distribution_matches_truncated_fresh_walks():
     sampler = make_sampler(g, cfg, "uniform")
     x = 1
     budget = cfg.walk_length - 2  # two-node prefix
-    resumed, fresh = Counter(), Counter()
-    for i in range(8_000):
-        w = resume_walk(g, (0, x), cfg, "uniform", i, sampler=sampler)
-        resumed[w[1:]] += 1
-        f = uniform_walk(g, x, budget + 1, rng_(2 * i + 1))
-        fresh[f] += 1
-    assert chi2_two_sample(resumed, fresh) > 0.01
+    samples = 8_000
+    suffixes = Counter(w[1:] for w in resumed(sampler, [(0, x)] * samples, range(samples)))
+    fresh = Counter(uniform_walk(g, x, budget + 1, rng_(2 * i + 1)) for i in range(samples))
+    assert chi2_two_sample(suffixes, fresh) > 0.01
 
 
 # ---------------------------------------------------------------------------
