@@ -10,6 +10,12 @@ that reference ids stay valid after updates.
 A version is numpy CSR columns only. `_grow` builds every version: it
 aggregates a block of rows by (src, dst) and merges it into a base version
 (the empty graph, or the parent for `apply_batch`) with one sorted merge.
+
+Rows become columns once, at the entry point, and stay columns: CSV rows
+through `_columns`, dump lines through one `np.loadtxt` per run of edge
+lines, and `segment_schedule` slices one parse of all its rows. A delta
+carries its edges as columns too. Wherever a bulk parse rejects its input,
+an exact per-row loop takes over, and that loop alone names a bad row.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter
 
 import numpy as np
@@ -57,19 +63,27 @@ class CSR:
     indices: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphDelta:
-    """Difference between two consecutive graph versions."""
+    """Difference between two consecutive graph versions. `edge_columns`
+    holds the batch's aggregated edges as (src, dst, weight, ts, count)
+    arrays, sorted by (src, dst); being arrays, deltas compare by identity."""
 
     src_version: int
     dst_version: int
     new_nodes: frozenset
     affected_nodes: frozenset
-    new_edges: tuple
+    edge_columns: tuple
+
+    @property
+    def new_edges(self) -> tuple:
+        """The batch's edges as TxEdges, built on each request."""
+        return tuple(map(TxEdge, *(col.tolist() for col in self.edge_columns)))
 
     @property
     def empty(self) -> bool:
-        return not self.new_nodes and not self.affected_nodes and not self.new_edges
+        return (not self.new_nodes and not self.affected_nodes
+                and not len(self.edge_columns[0]))
 
 
 def _rows(indptr: np.ndarray) -> np.ndarray:
@@ -149,6 +163,15 @@ class TransactionGraph:
             return None
         return TxEdge(int(u), int(v), float(self._weight[k]), int(self._ts[k]),
                       int(self._count[k]))
+
+    def edge_counts(self, src, dst) -> np.ndarray:
+        """The count of each edge (src[i], dst[i]) of this version, 0 where
+        there is no such edge, from one search of the sorted pair keys."""
+        n = self.num_nodes
+        pos, fresh = _lookup(self._indptr, self._dst, n, np.asarray(src) * n + dst)
+        counts = np.zeros(len(pos), dtype=np.int64)
+        counts[~fresh] = self._count[pos[~fresh]]
+        return counts
 
     def edges(self):
         """All edges, sorted by (src, dst)."""
@@ -363,27 +386,36 @@ def _coerce_record(record, where: str):
     return src, dst, value, ts, count
 
 
+def _columns(records) -> tuple:
+    """(src, dst, value, ts, count) columns of raw rows: the addresses as
+    lists, the rest as arrays. Any bad row raises TypeError, ValueError or
+    OverflowError without a name; `_coerce_record` names it."""
+    k = len(records)
+    widths = set(map(len, records))
+    if not widths <= {4, 5}:
+        raise ValueError("a row has the wrong number of fields")
+    cols = list(zip(*records)) or [()] * 4
+    # one whitespace-free word each, as _coerce_record's strip-and-test
+    src = [a for (a,) in map(str.split, map(str, cols[0]))]
+    dst = [a for (a,) in map(str.split, map(str, cols[1]))]
+    value = np.fromiter(map(float, cols[2]), np.float64, k)
+    ts = np.fromiter(map(int, cols[3]), np.int64, k)
+    cnt = np.ones(k, dtype=np.int64) if 5 not in widths else np.fromiter(
+        (int(r[4]) if len(r) == 5 else 1 for r in records), np.int64, k)
+    if np.isnan(value).any() or (cnt < 1).any():
+        raise ValueError("a row fails a check")
+    return src, dst, value, ts, cnt
+
+
 def _parse(records, numbers, rejects, floor=None) -> tuple:
     """The rows with a non-negative value as (src, dst, value, ts, count)
     columns; the others go to `rejects` as (record number, reason). On any
     bad row the scalar `_coerce_record` loop names the first one; a row
     older than `floor` raises AppendOrderError before the negative skip."""
-    k = len(records)
-    widths = set(map(len, records))
     try:
-        if not widths <= {4, 5}:
-            raise ValueError("a row has the wrong number of fields")
-        cols = list(zip(*records)) or [()] * 4
-        # one whitespace-free word each, as _coerce_record's strip-and-test
-        src = [a for (a,) in map(str.split, map(str, cols[0]))]
-        dst = [a for (a,) in map(str.split, map(str, cols[1]))]
-        value = np.fromiter(map(float, cols[2]), np.float64, k)
-        ts = np.fromiter(map(int, cols[3]), np.int64, k)
-        cnt = np.ones(k, dtype=np.int64) if 5 not in widths else np.fromiter(
-            (int(r[4]) if len(r) == 5 else 1 for r in records), np.int64, k)
-        if (np.isnan(value).any() or (cnt < 1).any()
-                or (floor is not None and (ts < floor).any())):
-            raise ValueError("a row fails a check")
+        src, dst, value, ts, cnt = _columns(records)
+        if floor is not None and (ts < floor).any():
+            raise ValueError("a row predates the floor")
     except (TypeError, ValueError, OverflowError):
         for i, record in zip(numbers, records):
             _, _, v, t, _ = _coerce_record(record, f"record {i}")
@@ -451,8 +483,7 @@ def apply_batch(g: TransactionGraph, records,
     ends = np.concatenate(block[:2])
     delta = GraphDelta(g.version, g.version + 1,
                        frozenset(range(g.num_nodes, g2.num_nodes)),
-                       frozenset(ends[ends < g.num_nodes].tolist()),
-                       tuple(map(TxEdge, *(col.tolist() for col in block))))
+                       frozenset(ends[ends < g.num_nodes].tolist()), block)
     return g2, delta
 
 
@@ -486,9 +517,7 @@ def diff_graphs(g_prev: TransactionGraph, g_next: TransactionGraph) -> GraphDelt
     return GraphDelta(g_prev.version, g_next.version,
                       frozenset(range(n_prev, n)),
                       frozenset(ends[ends < n_prev].tolist()),
-                      tuple(map(TxEdge, src.tolist(), dst.tolist(),
-                                weight[k].tolist(), g_next._ts[k].tolist(),
-                                tally[k].tolist())))
+                      (src, dst, weight[k], g_next._ts[k], tally[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +547,52 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     """Sort rows by timestamp and build one cumulative graph per fraction.
 
     Ties in timestamp keep input order so segmentation is deterministic.
-    Each returned graph is a successor version of the previous one. A
-    malformed row is named by its input record number, as ingest names it.
+    Each returned graph is a successor version of the previous one, grown
+    from a slice of one parse of all rows. A malformed row is named by its
+    input record number, as `ingest_edges` and `apply_batch` would name it
+    segment by segment: the first bad row in timestamp order, or in input
+    order when some timestamp is not an int64.
     """
     try:
-        stamps = np.fromiter(map(int, map(itemgetter(3), records)), np.int64,
-                             len(records))
-    except (IndexError, TypeError, ValueError, OverflowError):
-        # name the first bad row the way ingest would
-        for i, record in enumerate(records):
-            _coerce_record(record, f"record {i + 1}")
+        src, dst, value, ts, cnt = _columns(records)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            stamps = np.fromiter(map(int, map(itemgetter(3), records)), np.int64,
+                                 len(records))
+        except (IndexError, TypeError, ValueError, OverflowError):
+            order = range(len(records))
+        else:
+            segment_sizes(len(records), initial_frac, step_frac)
+            order = np.argsort(stamps, kind="stable").tolist()
+        for i in order:
+            _coerce_record(records[i], f"record {i + 1}")
         raise
-    order = np.argsort(stamps, kind="stable").tolist()
-    rows = [records[i] for i in order]
-    numbers = [i + 1 for i in order]
-    sizes = segment_sizes(len(rows), initial_frac, step_frac)
-    graphs = []
-    g = ingest_edges(rows[:sizes[0]], numbers=numbers[:sizes[0]])
-    graphs.append(g)
-    for lo, hi in zip(sizes, sizes[1:]):
-        g, _ = apply_batch(g, rows[lo:hi], numbers=numbers[lo:hi])
+    sizes = segment_sizes(len(records), initial_frac, step_frac)
+    order = np.argsort(ts, kind="stable")
+    keep = value[order] >= 0
+    order = order[keep]
+    # a code per address in input order, then ids in first-appearance order
+    # over the kept rows sorted by timestamp
+    ends = list(chain.from_iterable(zip(src, dst)))
+    code = dict(zip(dict.fromkeys(ends), count()))
+    nid = np.fromiter(map(code.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)[order]
+    used, first = np.unique(nid, return_index=True)
+    rank = np.argsort(first)
+    relabel = np.empty(len(code), dtype=np.intp)
+    relabel[used[rank]] = np.arange(len(used))
+    s, d = relabel[nid].T
+    w, t, c = value[order], ts[order], cnt[order]
+    names = list(code)
+    addresses = [names[u] for u in used[rank].tolist()]
+    # kept rows, and nodes seen, at the end of each segment
+    bounds = np.concatenate([[0], np.cumsum(keep)])[[0, *sizes]].tolist()
+    nodes = np.searchsorted(first[rank], 2 * np.array(bounds)).tolist()
+    graphs, g = [], _empty()
+    for version, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        n, ids = nodes[version + 1], dict(g._ids)
+        ids.update(zip(addresses[g.num_nodes:n], count(g.num_nodes)))
+        g = _grow(g, addresses[:n], ids, s[lo:hi], d[lo:hi], w[lo:hi], t[lo:hi],
+                  c[lo:hi], version, int(t[hi - 1]) if hi else None)[0]
         graphs.append(g)
     return graphs
 
@@ -583,7 +638,10 @@ def save_graph(g: TransactionGraph, path):
             g._ts.tolist(), g._count.tolist()))
 
 
-_CHUNK = 8192  # edge lines converted at a time, to bound the token strings held
+_CHUNK = 8192  # raw dump lines read at a time, to bound the strings held
+
+_EDGE_ROW = np.dtype([("s", np.int64), ("d", np.int64), ("w", np.float64),
+                      ("t", np.int64), ("c", np.int64)])
 
 
 def _edge_chunk(path, chunk, n: int) -> tuple:
@@ -607,13 +665,98 @@ def _edge_chunk(path, chunk, n: int) -> tuple:
         raise
 
 
+def _bulk_edges(run, n: int):
+    """The columns of a run of `edge ` lines from one C parse, or None when
+    numpy rejects a line or a line names a node outside 0..n-1. numpy
+    accepts a subset of what int() and float() accept, with equal values."""
+    try:
+        rows = np.loadtxt(run, dtype=_EDGE_ROW, usecols=(1, 2, 3, 4, 5),
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    s, d = rows["s"], rows["d"]
+    if not ((s >= 0) & (s < n) & (d >= 0) & (d < n)).all():
+        return None
+    return s, d, rows["w"], rows["t"], rows["c"]
+
+
+def _bulk_nodes(run, ids: dict) -> bool:
+    """Add a run of `node ` lines to `ids` from one split, when every line
+    is `node <next id> <new address>`; else return False, `ids` untouched."""
+    k, n = len(run), len(ids)
+    tokens = "".join(run).split()
+    # each line opens with "node", so k "node" tokens, all at multiples of
+    # 3, put every line at exactly three tokens
+    if not (len(tokens) == 3 * k and tokens.count("node") == k
+            and tokens[0::3].count("node") == k
+            and tokens[1::3] == list(map(str, range(n, n + k)))):
+        return False
+    new = dict(zip(tokens[2::3], count(n)))
+    if len(new) != k or not ids.keys().isdisjoint(new):
+        return False
+    ids.update(new)
+    return True
+
+
+class _DumpReader:
+    """The state of one dump read: node ids, edge columns, version, maxts."""
+
+    def __init__(self, path):
+        self.path, self.ids = path, {}
+        self.version, self.max_ts = 0, None
+        ints = np.empty(0, dtype=np.int64)
+        self.columns = [(ints, ints, np.empty(0), ints, ints)]
+
+    def run(self, key: str, lines: list, first: int):
+        """Read a run of lines that share their first five characters, the
+        first of them being line `first`."""
+        if key == "edge ":
+            cols = _bulk_edges(lines, len(self.ids))
+            if cols is not None:
+                self.columns.append(cols)
+                return
+        elif key == "node " and _bulk_nodes(lines, self.ids):
+            return
+        self.lines(lines, first)
+
+    def lines(self, lines: list, first: int):
+        """The exact loop: edge lines are converted in a batch flushed
+        before any other line, so the first bad line names the error and an
+        edge may only name nodes listed above it."""
+        path, ids, chunk = self.path, self.ids, []
+        for line_no, line in enumerate(lines, start=first):
+            fields = line.split()
+            if not fields:
+                continue
+            tag = fields[0]
+            if chunk and tag != "edge":
+                self.columns.append(_edge_chunk(path, chunk, len(ids)))
+                chunk = []
+            try:
+                if tag == "edge":
+                    chunk.append((line_no, line, fields))
+                elif tag == "version":
+                    self.version = int(fields[1])
+                elif tag == "maxts":
+                    self.max_ts = None if fields[1] == "none" else int(fields[1])
+                elif tag == "node":
+                    nid = int(fields[1])
+                    if ids.setdefault(fields[2], len(ids)) != nid:
+                        raise ParseError(f"{path}:{line_no}: node ids out of order")
+                else:
+                    raise ParseError(f"{path}:{line_no}: unknown tag {tag!r}")
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
+        if chunk:
+            self.columns.append(_edge_chunk(path, chunk, len(ids)))
+
+
 def load_graph(path) -> TransactionGraph:
-    """Read a graph dump written by save_graph. Edge lines are converted in
-    chunks, flushed before any other line, so the first bad line names the
-    error and an edge may only name nodes listed above it."""
-    version, max_ts, ids = 0, None, {}
-    ints = np.empty(0, dtype=np.intp)
-    chunk, columns = [], [(ints, ints, np.empty(0), ints, ints)]
+    """Read a graph dump written by save_graph, `_CHUNK` lines at a time.
+    A run of lines that all start `edge ` becomes columns in one
+    `np.loadtxt` call, a run of `node ` lines in one split; any run that
+    does not parse that way goes through the exact per-line loop, which
+    names the first bad line as `path:line`."""
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().rstrip("\n")
         parts = head.split()
@@ -624,35 +767,17 @@ def load_graph(path) -> TransactionGraph:
             declared_edges = int(parts[3].split("=", 1)[1])
         except (IndexError, ValueError):
             raise ParseError(f"{path}:1: malformed header {head!r}") from None
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            tag = fields[0]
-            if chunk and (tag != "edge" or len(chunk) == _CHUNK):
-                columns.append(_edge_chunk(path, chunk, len(ids)))
-                chunk = []
-            try:
-                if tag == "edge":
-                    chunk.append((line_no, line, fields))
-                elif tag == "version":
-                    version = int(fields[1])
-                elif tag == "maxts":
-                    max_ts = None if fields[1] == "none" else int(fields[1])
-                elif tag == "node":
-                    nid = int(fields[1])
-                    if ids.setdefault(fields[2], len(ids)) != nid:
-                        raise ParseError(f"{path}:{line_no}: node ids out of order")
-                else:
-                    raise ParseError(f"{path}:{line_no}: unknown tag {tag!r}")
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
-    if chunk:
-        columns.append(_edge_chunk(path, chunk, len(ids)))
-    s, d, w, ts, c = map(np.concatenate, zip(*columns))
+        dump, line_no = _DumpReader(path), 2
+        for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
+            for key, lines in groupby(chunk, itemgetter(slice(5))):
+                lines = list(lines)
+                dump.run(key, lines, line_no)
+                line_no += len(lines)
+    s, d, w, ts, c = map(np.concatenate, zip(*dump.columns))
     # aggregated edges keep earliest timestamps, so the true high-water mark
     # only survives through the maxts line
-    g = _grow(_empty(), list(ids), ids, s, d, w, ts, c, version, max_ts)[0]
+    g = _grow(_empty(), list(dump.ids), dump.ids, s, d, w, ts, c, dump.version,
+              dump.max_ts)[0]
     if declared_nodes != g.num_nodes or declared_edges != g.num_edges:
         raise ParseError(
             f"{path}: header declares nodes={declared_nodes} edges={declared_edges} "

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModeMismatchError, StateMismatchError, VersionMismatchError
 from .graph import GraphDelta, TransactionGraph
 from .walks import (
@@ -70,16 +72,16 @@ def plan_update(corpus: WalkCorpus, delta: GraphDelta,
     """Resolve the delta against the corpus with one scan of its tokens.
 
     A uniform corpus is affected at the old sources of structurally new
-    edges. A delta row is new iff its count is the edge's whole count in
+    edges. A delta edge is new iff its count is the edge's whole count in
     g_next: every row has count >= 1, so an edge that existed before has
     a larger total. An MH corpus is affected at every touched endpoint.
     """
     _check_versions(corpus, g_next, delta)
     if corpus.mode == MODE_UNIFORM:
-        affected_nodes = frozenset(
-            e.src for e in delta.new_edges
-            if e.src not in delta.new_nodes
-            and g_next.edge(e.src, e.dst).count == e.count)
+        src, dst, _, _, tally = delta.edge_columns
+        new = g_next.edge_counts(src, dst) == tally
+        new &= ~np.isin(src, np.fromiter(delta.new_nodes, np.intp, len(delta.new_nodes)))
+        affected_nodes = frozenset(src[new].tolist())
     else:
         affected_nodes = delta.affected_nodes
     return UpdatePlan(frozenset(corpus.walks_containing(affected_nodes)),

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -273,6 +274,54 @@ def test_segment_schedule_is_cumulative_subgraph_chain():
         assert prev.num_nodes <= nxt.num_nodes
 
 
+def test_segment_schedule_names_bad_rows_as_segment_by_segment_building():
+    rows = [("a", "b", 1.0, 0), ("b", "c", 1.0, 9), ("c", "d", 1.0, 1),
+            ("d", "e", 1.0, 7), ("e", "f", 1.0, 2), ("f", "g", 1.0, 3),
+            ("g", "h", 1.0, 4), ("h", "i", 1.0, 5)]
+
+    def with_rows(**edits):
+        return [edits.get(f"r{i + 1}", row) for i, row in enumerate(rows)]
+    # two bad rows in later segments: the one that sorts first is named
+    bad = with_rows(r2=("b", "c", "x", 9), r4=("d", "e", "y", 7))
+    with pytest.raises(ParseError, match=r"^record 4: value 'y' is not a number$"):
+        segment_schedule(bad, 0.5, 0.25)
+    # a timestamp that is no integer: rows are named in input order
+    for r3 in (("c", "d", 1.0, "soon"), ("c", "d", 1.0)):
+        bad = with_rows(r2=("b", "c", "x", 9), r3=r3)
+        with pytest.raises(ParseError, match=r"^record 2: value 'x' is not a number$"):
+            segment_schedule(bad, 0.5, 0.25)
+    bad = with_rows(r3=("c", "d", 1.0, str(2 ** 63)))
+    with pytest.raises(ParseError, match=r"^record 3: timestamp '9223372036854775808' is out"):
+        segment_schedule(bad, 0.5, 0.25)
+    # a bad row is named before bad fractions only when its timestamp is bad
+    with pytest.raises(ConfigError):
+        segment_schedule(with_rows(r2=("b", "c", "x", 9)), 0.5, 0.0)
+    with pytest.raises(ParseError, match=r"^record 3: timestamp 'soon'"):
+        segment_schedule(with_rows(r3=("c", "d", 1.0, "soon")), 0.5, 0.0)
+
+
+def _reference_schedule(rows, initial, step):
+    """Segment-by-segment building: ingest_edges, then apply_batch, over
+    the rows sorted stably by timestamp. A bad row is named in timestamp
+    order, or in input order when some timestamp is not an int64."""
+    def name_first_bad(order):
+        for i in order:
+            _coerce_record(rows[i], f"record {i + 1}")
+    try:
+        order = sorted(range(len(rows)), key=lambda i: int(rows[i][3]))
+        if any(not -2 ** 63 <= int(r[3]) < 2 ** 63 for r in rows):
+            raise OverflowError
+    except (IndexError, TypeError, ValueError, OverflowError):
+        name_first_bad(range(len(rows)))
+        raise
+    sizes = segment_sizes(len(rows), initial, step)
+    name_first_bad(order)
+    graphs = [ingest_edges([rows[i] for i in order[:sizes[0]]])]
+    for lo, hi in zip(sizes, sizes[1:]):
+        graphs.append(apply_batch(graphs[-1], [rows[i] for i in order[lo:hi]])[0])
+    return graphs
+
+
 def test_segment_schedule_breaks_ties_by_input_order():
     rows = [("a", "b", 1.0, 5), ("c", "d", 1.0, 5), ("e", "f", 1.0, 5),
             ("g", "h", 1.0, 5)]
@@ -513,6 +562,30 @@ def test_columnar_build_equals_row_by_row_reference(spec, cuts, fault, where):
                     for e in delta.new_edges] == expected[2]
 
 
+@settings(max_examples=100)
+@given(spec=oracle_rows, fault=st.sampled_from(FAULTS), where=st.integers(0, 39),
+       step=st.sampled_from([0.1, 0.25, 0.5]))
+def test_segment_schedule_equals_segment_by_segment_building(spec, fault, where, step):
+    rows = [(f"n{u}", f"n{v}", repr(w) if as_text else w, 100 - 3 * dt)
+            for u, v, w, as_text, dt, _ in spec]
+    if fault is not None and rows:
+        row, (field, bad) = list(rows[where % len(rows)]), fault
+        if field == "count":
+            row.append(bad)
+        else:
+            row[("src", "dst", "value", "ts").index(field)] = bad
+        rows[where % len(rows)] = tuple(row)
+    try:
+        expected = [(*snapshot(g), g.version) for g in _reference_schedule(rows, 0.5, step)]
+    except WalkforgeError as exc:
+        with pytest.raises(type(exc)) as err:
+            segment_schedule(rows, 0.5, step)
+        assert str(err.value) == str(exc)
+        return
+    assert [(*snapshot(g), g.version) for g in segment_schedule(rows, 0.5, step)] \
+        == expected
+
+
 def test_negative_zero_edge_keeps_its_sign_in_the_dump(tmp_path):
     g = ingest_edges([("a", "b", -0.0, 3), ("a", "b", "-0.0", 4), ("b", "c", 1.0, 5)])
     g, _ = apply_batch(g, [("a", "b", -0.0, 6)])
@@ -571,6 +644,76 @@ def test_load_rejects_corrupt_header(tmp_path):
     path.write_text("NOT-A-GRAPH v9\n")
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+DUMP_HEAD = ("WALKFORGE-GRAPH v1 nodes=3 edges=3\nversion 2\nmaxts 7\n"
+             "node 0 a\nnode 1 b\nnode 2 c\n")
+DUMP_EDGES = "edge 0 1 1.5 3 1\nedge 1 2 0.25 5 2\nedge 2 0 2.0 7 1\n"
+DUMP = DUMP_HEAD + DUMP_EDGES
+LATER_EDGES = [(1, 2, 0.25, 5, 2), (2, 0, 2.0, 7, 1)]
+
+
+def _first_edge(w="1.5", t="3", c="1"):
+    return DUMP.replace("edge 0 1 1.5 3 1", f"edge 0 1 {w} {t} {c}")
+
+
+def _loaded(weight=1.5, ts=3, count=1, addresses="abc"):
+    return list(addresses), [(0, 1, weight, ts, count)] + LATER_EDGES
+
+
+INF, NAN = float("inf"), float("nan")
+# token: the first edge's (weight, ts, count) with the token as its weight,
+# as its timestamp, as its count; None where the loader names line 7
+EDGE_TOKENS = {
+    "1_0": ((10.0, 3, 1), (1.5, 10, 1), (1.5, 3, 10)),
+    "١": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),  # ARABIC-INDIC DIGIT ONE
+    "1_0.5": ((10.5, 3, 1), None, None),
+    "+1": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),
+    "nan": ((NAN, 3, 1), None, None),
+    "inf": ((INF, 3, 1), None, None),
+    "infinity": ((INF, 3, 1), None, None),
+    ".5": ((0.5, 3, 1), None, None),
+    "5.": ((5.0, 3, 1), None, None),
+}
+LOAD_CASES = [
+    *((f"{field}={token}", _first_edge(**{field: token}),
+       7 if fields is None else _loaded(*fields))
+      for token, row in EDGE_TOKENS.items() for field, fields in zip("wtc", row)),
+    ("ts-overflow", _first_edge(t=str(2 ** 63)), 7),
+    ("5-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3"), 7),
+    ("7-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3 1 x"), _loaded()),
+    ("crlf", DUMP.replace("\n", "\r\n"), _loaded()),
+    ("vt-separator", DUMP.replace("edge 1 2", "edge\x0b1\x0b2"), _loaded()),
+    ("blank-in-edges", DUMP.replace("edge 1 2", "\nedge 1 2"), _loaded()),
+    ("node-after-edges", DUMP.replace("nodes=3", "nodes=4") + "node 3 d\n",
+     _loaded(addresses="abcd")),
+    ("edge-before-its-node",
+     DUMP_HEAD.replace("node 2 c\n", "") + DUMP_EDGES + "node 2 c\n", 7),
+    # two node lines whose tokens still add up to three per line
+    ("short-node-line", DUMP.replace("node 1 b\nnode 2 c", "node 1\nnode node 2 c"), 5),
+    ("edgeless", DUMP_HEAD.replace("edges=3", "edges=0"), (list("abc"), [])),
+]
+
+
+@pytest.mark.parametrize("text, expected", [c[1:] for c in LOAD_CASES],
+                         ids=[c[0] for c in LOAD_CASES])
+def test_load_accepts_hand_edited_dumps_or_names_the_line(tmp_path, text, expected):
+    path = tmp_path / "g.wfg"
+    path.write_bytes(text.encode())
+    if isinstance(expected, int):  # the line the loader names
+        with pytest.raises(ParseError) as err:
+            load_graph(path)
+        line = text.splitlines(True)[expected - 1]
+        assert str(err.value) == f"{path}:{expected}: malformed line {line!r}"
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an empty text block
+        g = load_graph(path)
+    addresses, edges = expected
+    assert (g.version, g.max_timestamp) == (2, 7)
+    assert [g.address_of(u) for u in g.nodes()] == addresses
+    assert [(e.src, e.dst, e.weight.hex(), e.timestamp, e.count) for e in g.edges()] \
+        == [(s, d, w.hex(), t, c) for s, d, w, t, c in edges]
 
 
 def test_load_names_the_first_bad_line_in_file_order(tmp_path):
