@@ -21,6 +21,7 @@ an exact per-row loop takes over, and that loop alone names a bad row.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, islice
@@ -163,15 +164,6 @@ class TransactionGraph:
             return None
         return TxEdge(int(u), int(v), float(self._weight[k]), int(self._ts[k]),
                       int(self._count[k]))
-
-    def edge_counts(self, src, dst) -> np.ndarray:
-        """The count of each edge (src[i], dst[i]) of this version, 0 where
-        there is no such edge, from one search of the sorted pair keys."""
-        n = self.num_nodes
-        pos, fresh = _lookup(self._indptr, self._dst, n, np.asarray(src) * n + dst)
-        counts = np.zeros(len(pos), dtype=np.int64)
-        counts[~fresh] = self._count[pos[~fresh]]
-        return counts
 
     def edges(self):
         """All edges, sorted by (src, dst)."""
@@ -436,13 +428,9 @@ def _parse(records, numbers, rejects, floor=None) -> tuple:
     return src, dst, value, ts, cnt
 
 
-def _append(base: TransactionGraph, records, numbers, rejects,
-            version: int, floor=None) -> tuple:
-    """`_grow` on the rows of `records`, numbered by `numbers` (1, 2, ...
-    when None); new addresses get ids in first-appearance order."""
-    records = list(records)
-    numbers = range(1, len(records) + 1) if numbers is None else list(numbers)
-    src, dst, w, ts, c = _parse(records, numbers, rejects, floor)
+def _extend(base: TransactionGraph, src, dst, w, ts, c, version: int) -> tuple:
+    """`_grow` on parsed rows: new addresses get ids in first-appearance
+    order, and the high-water mark rises to the rows' latest timestamp."""
     ends = list(chain.from_iterable(zip(src, dst)))
     ids = dict(base._ids)
     n_old = base.num_nodes
@@ -454,6 +442,15 @@ def _append(base: TransactionGraph, records, numbers, rejects,
         max_ts = int(ts.max()) if max_ts is None else max(max_ts, int(ts.max()))
     return _grow(base, addresses, ids, nid[0::2], nid[1::2], w, ts, c,
                  version, max_ts)
+
+
+def _append(base: TransactionGraph, records, numbers, rejects,
+            version: int, floor=None) -> tuple:
+    """`_extend` on the rows of `records`, numbered by `numbers` (1, 2, ...
+    when None)."""
+    records = list(records)
+    numbers = range(1, len(records) + 1) if numbers is None else list(numbers)
+    return _extend(base, *_parse(records, numbers, rejects, floor), version)
 
 
 def ingest_edges(records, rejects: list | None = None,
@@ -571,28 +568,15 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     order = np.argsort(ts, kind="stable")
     keep = value[order] >= 0
     order = order[keep]
-    # a code per address in input order, then ids in first-appearance order
-    # over the kept rows sorted by timestamp
-    ends = list(chain.from_iterable(zip(src, dst)))
-    code = dict(zip(dict.fromkeys(ends), count()))
-    nid = np.fromiter(map(code.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)[order]
-    used, first = np.unique(nid, return_index=True)
-    rank = np.argsort(first)
-    relabel = np.empty(len(code), dtype=np.intp)
-    relabel[used[rank]] = np.arange(len(used))
-    s, d = relabel[nid].T
-    w, t, c = value[order], ts[order], cnt[order]
-    names = list(code)
-    addresses = [names[u] for u in used[rank].tolist()]
-    # kept rows, and nodes seen, at the end of each segment
+    # kept rows at the end of each segment
     bounds = np.concatenate([[0], np.cumsum(keep)])[[0, *sizes]].tolist()
-    nodes = np.searchsorted(first[rank], 2 * np.array(bounds)).tolist()
+    rows = order.tolist()
+    src, dst = [src[i] for i in rows], [dst[i] for i in rows]
+    w, t, c = value[order], ts[order], cnt[order]
     graphs, g = [], _empty()
     for version, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        n, ids = nodes[version + 1], dict(g._ids)
-        ids.update(zip(addresses[g.num_nodes:n], count(g.num_nodes)))
-        g = _grow(g, addresses[:n], ids, s[lo:hi], d[lo:hi], w[lo:hi], t[lo:hi],
-                  c[lo:hi], version, int(t[hi - 1]) if hi else None)[0]
+        g = _extend(g, src[lo:hi], dst[lo:hi], w[lo:hi], t[lo:hi], c[lo:hi],
+                    version)[0]
         graphs.append(g)
     return graphs
 
@@ -668,34 +652,21 @@ def _edge_chunk(path, chunk, n: int) -> tuple:
 def _bulk_edges(run, n: int):
     """The columns of a run of `edge ` lines from one C parse, or None when
     numpy rejects a line or a line names a node outside 0..n-1. numpy
-    accepts a subset of what int() and float() accept, with equal values."""
+    accepts a subset of what int() and float() accept, with equal values,
+    once its deprecated parse of an integer field through a float (numpy
+    1.23 to 1.26: `1.5`, `.5`, `1e3` or `nan` as a timestamp or count)
+    counts as a rejection too."""
     try:
-        rows = np.loadtxt(run, dtype=_EDGE_ROW, usecols=(1, 2, 3, 4, 5),
-                          comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(run, dtype=_EDGE_ROW, usecols=(1, 2, 3, 4, 5),
+                              comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     s, d = rows["s"], rows["d"]
     if not ((s >= 0) & (s < n) & (d >= 0) & (d < n)).all():
         return None
     return s, d, rows["w"], rows["t"], rows["c"]
-
-
-def _bulk_nodes(run, ids: dict) -> bool:
-    """Add a run of `node ` lines to `ids` from one split, when every line
-    is `node <next id> <new address>`; else return False, `ids` untouched."""
-    k, n = len(run), len(ids)
-    tokens = "".join(run).split()
-    # each line opens with "node", so k "node" tokens, all at multiples of
-    # 3, put every line at exactly three tokens
-    if not (len(tokens) == 3 * k and tokens.count("node") == k
-            and tokens[0::3].count("node") == k
-            and tokens[1::3] == list(map(str, range(n, n + k)))):
-        return False
-    new = dict(zip(tokens[2::3], count(n)))
-    if len(new) != k or not ids.keys().isdisjoint(new):
-        return False
-    ids.update(new)
-    return True
 
 
 class _DumpReader:
@@ -709,15 +680,13 @@ class _DumpReader:
 
     def run(self, key: str, lines: list, first: int):
         """Read a run of lines that share their first five characters, the
-        first of them being line `first`."""
-        if key == "edge ":
-            cols = _bulk_edges(lines, len(self.ids))
-            if cols is not None:
-                self.columns.append(cols)
-                return
-        elif key == "node " and _bulk_nodes(lines, self.ids):
-            return
-        self.lines(lines, first)
+        first of them being line `first`: a run of `edge ` lines in one C
+        parse when numpy takes it, any other run line by line."""
+        cols = _bulk_edges(lines, len(self.ids)) if key == "edge " else None
+        if cols is None:
+            self.lines(lines, first)
+        else:
+            self.columns.append(cols)
 
     def lines(self, lines: list, first: int):
         """The exact loop: edge lines are converted in a batch flushed
@@ -754,9 +723,9 @@ class _DumpReader:
 def load_graph(path) -> TransactionGraph:
     """Read a graph dump written by save_graph, `_CHUNK` lines at a time.
     A run of lines that all start `edge ` becomes columns in one
-    `np.loadtxt` call, a run of `node ` lines in one split; any run that
-    does not parse that way goes through the exact per-line loop, which
-    names the first bad line as `path:line`."""
+    `np.loadtxt` call; any other run, or one that numpy rejects, goes
+    through the exact per-line loop, which names the first bad line as
+    `path:line`."""
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().rstrip("\n")
         parts = head.split()

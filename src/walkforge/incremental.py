@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ModeMismatchError, StateMismatchError, VersionMismatchError
 from .graph import GraphDelta, TransactionGraph
 from .walks import (
@@ -78,10 +76,10 @@ def plan_update(corpus: WalkCorpus, delta: GraphDelta,
     """
     _check_versions(corpus, g_next, delta)
     if corpus.mode == MODE_UNIFORM:
-        src, dst, _, _, tally = delta.edge_columns
-        new = g_next.edge_counts(src, dst) == tally
-        new &= ~np.isin(src, np.fromiter(delta.new_nodes, np.intp, len(delta.new_nodes)))
-        affected_nodes = frozenset(src[new].tolist())
+        src, dst, _, _, tally = (col.tolist() for col in delta.edge_columns)
+        affected_nodes = frozenset(
+            u for u, v, c in zip(src, dst, tally)
+            if u not in delta.new_nodes and g_next.edge(u, v).count == c)
     else:
         affected_nodes = delta.affected_nodes
     return UpdatePlan(frozenset(corpus.walks_containing(affected_nodes)),

@@ -716,6 +716,33 @@ def test_load_accepts_hand_edited_dumps_or_names_the_line(tmp_path, text, expect
         == [(s, d, w.hex(), t, c) for s, d, w, t, c in edges]
 
 
+@pytest.mark.parametrize("t", ["3.7", ".5", "5.", "1e3"])
+def test_load_names_a_float_timestamp_under_numpy_1_26_loadtxt(tmp_path, monkeypatch, t):
+    """numpy 1.23 to 1.26 parse an integer field that is no integer through
+    a float, truncated, with a DeprecationWarning; the loader must still
+    name the line rather than keep the truncated value."""
+    loadtxt = np.loadtxt
+
+    def as_int(token):
+        if token.lstrip("+-").isdigit():
+            return token
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return str(int(float(token)))
+
+    def loadtxt_1_26(lines, *args, **kwargs):
+        rows = [line.split() for line in lines]
+        return loadtxt([" ".join([r[0], *map(as_int, r[1:3]), r[3], *map(as_int, r[4:])])
+                        for r in rows], *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", loadtxt_1_26)
+    path = tmp_path / "g.wfg"
+    text = _first_edge(t=t)
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}:7: malformed line {text.splitlines(True)[6]!r}"
+
+
 def test_load_names_the_first_bad_line_in_file_order(tmp_path):
     head = "WALKFORGE-GRAPH v1 nodes=2 edges=1\nversion 0\nmaxts 1\n"
     path = tmp_path / "g.wfg"

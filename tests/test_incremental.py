@@ -21,7 +21,6 @@ from walkforge import (
     plan_update,
     unbiased_update,
 )
-from walkforge.synth import preferential_attachment_stream
 from walkforge.walks import build_node_index
 from conftest import random_rows, rows_from_edges
 
@@ -146,32 +145,6 @@ def test_uniform_plan_is_exactly_the_changed_laws(case):
     # MH keeps every touched endpoint
     mh = generate_corpus(g, cfg, "mh")
     assert plan_update(mh, delta, g2).affected_nodes == delta.affected_nodes
-
-
-def per_edge_rule(delta, g_next) -> frozenset:
-    """The uniform plan's affected nodes, one edge lookup per delta edge."""
-    return frozenset(e.src for e in delta.new_edges if e.src not in delta.new_nodes
-                     and g_next.edge(e.src, e.dst).count == e.count)
-
-
-@given(seed=st.integers(0, 2**16), counted=st.booleans(),
-       cuts=st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True))
-def test_uniform_plan_matches_the_per_edge_rule_over_chained_pa_batches(
-        seed, counted, cuts):
-    rows = preferential_attachment_stream(80, core=10, core_degree=3, seed=seed)
-    if counted:  # aggregated counts above 1 too
-        rows = [(*row, 1 + i % 3) for i, row in enumerate(rows)]
-    ends = [len(rows) * c // 100 for c in sorted(cuts)] + [len(rows)]
-    g = ingest_edges(rows[:ends[0]])
-    cfg = WalkConfig(num_walks=2, walk_length=5, seed=seed)
-    corpus = generate_corpus(g, cfg, "uniform")
-    for lo, hi in zip(ends, ends[1:]):
-        g_next, delta = apply_batch(g, rows[lo:hi])
-        for d in (delta, diff_graphs(g, g_next)):
-            assert plan_update(corpus, d, g_next).affected_nodes == \
-                per_edge_rule(d, g_next)
-        corpus = unbiased_update(corpus, g_next, delta, cfg, "uniform")
-        g = g_next
 
 
 @given(graph_and_batch(), st.integers(0, 2**32))
