@@ -2,7 +2,8 @@
 """Segment-grid comparison of corpus-update strategies.
 
 Builds a growing synthetic transaction graph (or reads an edge CSV),
-splits it into cumulative time segments, and reports the transition-MAE
+splits it into cumulative time segments with the library's one
+segmentation routine (as `walkforge segment` does), and reports the transition-MAE
 of from-scratch, unbiased-update and naive-update corpora per segment,
 plus the candidate-draw work of the incremental update relative to
 regeneration.
@@ -14,7 +15,7 @@ import argparse
 import sys
 import time
 
-from walkforge import WalkConfig, apply_batch, generate_corpus, ingest_edges, read_edge_csv
+from walkforge import WalkConfig, diff_graphs, generate_corpus, read_edge_csv, segment_schedule
 from walkforge.evaluation import delta_mae, empirical_transitions, theoretical_transitions
 from walkforge.graph import segment_sizes
 from walkforge.incremental import DrawCounter, naive_update, unbiased_update
@@ -38,19 +39,20 @@ def main():
     args = ap.parse_args()
 
     if args.edges:
-        rows = sorted(read_edge_csv(args.edges), key=lambda r: int(r[3]))
+        rows = read_edge_csv(args.edges)
     else:
         rows = preferential_attachment_stream(args.nodes, seed=args.seed)
     sizes = segment_sizes(len(rows), args.initial, args.step)
     cfg = WalkConfig(num_walks=args.n, walk_length=args.l, seed=args.walk_seed)
 
     t0 = time.time()
-    g = ingest_edges(rows[:sizes[0]])
+    graphs = segment_schedule(rows, args.initial, args.step)
+    g = graphs[0]
     unbiased = generate_corpus(g, cfg, "uniform")
     naive = generate_corpus(g, cfg, "uniform")
     records = []
-    for lo, hi in zip(sizes, sizes[1:]):
-        g_next, delta = apply_batch(g, rows[lo:hi])
+    for hi, g_next in zip(sizes[1:], graphs[1:]):
+        delta = diff_graphs(g, g_next)
         work_upd, work_scr = DrawCounter(), DrawCounter()
         unbiased = unbiased_update(unbiased, g_next, delta, cfg, "uniform",
                                    counter=work_upd)

@@ -312,16 +312,15 @@ def export_embeddings(emb: EmbeddingMatrix, path):
 
 def import_embeddings(path) -> EmbeddingMatrix:
     with open_text(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 2:
-            raise ParseError(f"{path}:1: expected '<count> <dim>' header")
+        head = fh.readline().split()  # a UnicodeDecodeError is a ValueError too
         try:
-            count, dim = int(head[0]), int(head[1])
+            count, dim = map(int, head)
         except ValueError:
             raise ParseError(f"{path}:1: expected '<count> <dim>' header") from None
-        names = []
-        vectors = np.empty((count, dim))
-        row = 0
+        if count < 0 or dim < 1:
+            raise ParseError(f"{path}:1: need count >= 0 and dim >= 1, "
+                             f"got count={count} dim={dim}")
+        names, rows = [], []  # collected as read: the header may overstate
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -329,14 +328,14 @@ def import_embeddings(path) -> EmbeddingMatrix:
             if len(fields) != dim + 1:
                 raise ParseError(f"{path}:{line_no}: expected {dim + 1} fields, "
                                  f"got {len(fields)}")
-            if row >= count:
+            if len(rows) >= count:
                 raise ParseError(f"{path}:{line_no}: more rows than the header declares")
-            names.append(fields[0])
             try:
-                vectors[row] = [float(x) for x in fields[1:]]
+                rows.append([float(x) for x in fields[1:]])
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: non-numeric vector entry") from None
-            row += 1
-    if row != count:
-        raise ParseError(f"{path}: header declares {count} rows, found {row}")
+            names.append(fields[0])
+    if len(rows) != count:
+        raise ParseError(f"{path}: header declares {count} rows, found {len(rows)}")
+    vectors = np.array(rows, dtype=np.float64).reshape(count, dim)
     return EmbeddingMatrix(vectors, np.zeros_like(vectors), names=names)

@@ -18,18 +18,21 @@ weight-only repeats do not. MH mode keeps every touched endpoint, which
 still misses nodes whose leap frontier or acceptance changed through
 edges further away.
 
-Draws are keyed by (seed, walk index, step), so a resampled walk draws
-what a walk generated from scratch on the new graph would. In uniform
-mode a walk is trimmed at its first affected node and resumed at that
-step index; its prefix ran through unchanged laws, so the updated corpus
-is `generate_corpus(g_next)` byte for byte. A leap walk's rejected steps
-leave no token, so a trimmed prefix does not say how many steps it took;
-an affected MH walk is regenerated whole from its key instead.
+The plan holds the walks through those nodes, from one scan of the token
+matrix, and the token each one resumes from. Draws are keyed by (seed,
+walk index, step), so a resumed walk draws what a walk generated from
+scratch on the new graph would. A uniform walk resumes at its first
+affected node; its prefix ran through unchanged laws, so the updated
+corpus is `generate_corpus(g_next)` byte for byte. A leap walk's
+rejected steps leave no token, so a prefix does not say how many steps
+it took; an affected MH walk resumes at token 0 and replays from its key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ModeMismatchError, StateMismatchError, VersionMismatchError
 from .graph import GraphDelta, TransactionGraph
@@ -57,11 +60,14 @@ class DrawCounter:
         self.exhausted += sampler.exhausted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdatePlan:
-    """Which walks must be resampled and which nodes need fresh walks."""
+    """Which walks resume from which token (sorted walk indices and tokens,
+    as intp arrays, so plans compare by identity) and which nodes need
+    fresh walks."""
 
-    affected_walks: frozenset
+    affected_walks: np.ndarray
+    resume: np.ndarray
     new_nodes: frozenset
     affected_nodes: frozenset
 
@@ -70,14 +76,16 @@ def plan_update(corpus: WalkCorpus, delta: GraphDelta,
                 g_next: TransactionGraph) -> UpdatePlan:
     """Resolve the delta against the corpus with one scan of its tokens.
 
-    A uniform corpus is affected at the delta's grown nodes, an MH corpus
-    at every touched endpoint.
+    A uniform corpus is affected at the delta's grown nodes and its walks
+    resume at their first one; an MH corpus is affected at every touched
+    endpoint and its walks resume at token 0.
     """
     _check_versions(corpus, g_next, delta)
-    affected_nodes = (delta.grown_nodes if corpus.mode == MODE_UNIFORM
-                      else delta.affected_nodes)
-    return UpdatePlan(frozenset(corpus.walks_containing(affected_nodes)),
-                      delta.new_nodes, affected_nodes)
+    uniform = corpus.mode == MODE_UNIFORM
+    nodes = delta.grown_nodes if uniform else delta.affected_nodes
+    ids, first = corpus.first_visits(nodes)
+    return UpdatePlan(ids, first if uniform else np.zeros_like(first),
+                      delta.new_nodes, nodes)
 
 
 def _check_versions(corpus, g_next, delta):
@@ -126,22 +134,19 @@ def naive_update(corpus: WalkCorpus, g_next: TransactionGraph,
                  counter: DrawCounter | None = None) -> WalkCorpus:
     """Fresh walks for new nodes only; existing walks kept verbatim."""
     _check_update_args(corpus, g_next, delta, cfg, mode)
-    plan = UpdatePlan(frozenset(), delta.new_nodes, frozenset())
+    none = np.empty(0, dtype=np.intp)
+    plan = UpdatePlan(none, none, delta.new_nodes, frozenset())
     return _carry_forward(corpus, g_next, cfg, mode, plan, counter)
 
 
 def _carry_forward(corpus, g_next, cfg, mode, plan, counter) -> WalkCorpus:
-    """Copy the corpus to g_next's version: resample each affected walk
-    (uniform: from its first affected node; MH: whole), then append fresh
-    walks for new nodes, whose indices continue the corpus."""
+    """Copy the corpus to g_next's version: resume each affected walk from
+    its token in the plan, then append fresh walks for new nodes, whose
+    indices continue the corpus."""
     out = corpus.copy()
     sampler = make_sampler(g_next, cfg, mode)
-    affected = sorted(plan.affected_walks)
-    if mode == MODE_UNIFORM:
-        resampled = sampler.walks(affected, *corpus.trim_rows(affected, plan.affected_nodes))
-    else:
-        resampled = sampler.walks(affected)
-    out.replace_walks(affected, resampled)
+    ids = plan.affected_walks
+    out.replace_walks(ids, sampler.walks(ids, corpus.tokens[ids], plan.resume))
     n = cfg.num_walks
     out.append_walks(sampler.walks([u * n + i for u in sorted(plan.new_nodes)
                                     for i in range(n)]))

@@ -32,8 +32,9 @@ no row; walks there take the guard path inside the same step, which is
 approximate and counted.
 
 A sampler speaks token rows only: `walks(ids, rows, start)` returns the
-int32 rows it stepped, and resumes walks from given rows. The corpus
-turns rows into tuples, and is the only code that does.
+int32 rows it stepped, and resumes walks from given rows. A corpus is
+built, loaded and saved as rows exactly l wide; it turns rows into
+tuples for its `walks` view, and is the only code that does.
 
 Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
 walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
@@ -46,6 +47,7 @@ what a walk generated from scratch there would.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -423,26 +425,28 @@ def leap_transition_matrix(g: TransactionGraph, cfg: WalkConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class WalkCorpus:
-    """A set of walks plus their token matrix.
+    """A set of walks as their token matrix.
 
-    `tokens` is an int32 (walks, width) matrix whose row i is walk i padded
-    with -1; width is l, or the longest walk if that is longer. `walks`
-    holds the same walks as tuples, which `_tuples` alone builds from token
-    rows. The matrix is the corpus's only derived structure, and this class
-    the only code that knows its layout.
+    `tokens` is an int32 (walks, l) matrix whose row i is walk i padded
+    with -1, and the only input a corpus takes. `walks` is a view of the
+    same walks as tuples, which `_tuples` alone builds from token rows.
+    This class is the only code that knows the matrix's layout.
     """
 
-    def __init__(self, walks, graph_version: int, n: int, l: int, mode: str,
-                 num_nodes: int, tokens=None):
+    def __init__(self, tokens, graph_version: int, n: int, l: int, mode: str,
+                 num_nodes: int):
         check_mode(mode)
-        self.walks = walks
+        if tokens.dtype != np.int32 or tokens.ndim != 2 or tokens.shape[1] != l:
+            raise ConfigError(f"a corpus with l={l} takes an int32 (walks, {l}) "
+                              f"token matrix, got {tokens.dtype} {tokens.shape}")
         self.graph_version = graph_version
         self.n = n
         self.l = l
         self.mode = mode
         self.num_nodes = num_nodes
-        self.tokens = _pad(walks, l) if tokens is None else tokens
+        self.tokens = tokens
         self._ids = np.empty(0, dtype=object)  # node id u as one int object
+        self.walks = self._tuples(tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -454,25 +458,17 @@ class WalkCorpus:
         index.pop(-1, None)
         return index
 
-    def walks_containing(self, nodes) -> list:
-        """Sorted indices of the walks that pass through any of the nodes."""
-        return np.flatnonzero(self._table(nodes)[self.tokens].any(axis=1)).tolist()
-
-    def trim_rows(self, ids, nodes) -> tuple:
-        """(rows, start): a copy of the token rows of the walks `ids`, and
-        the index of each row's first token in `nodes` (0 if none is), the
-        token a uniform walk resumes from when those nodes changed."""
-        rows = self.tokens[np.asarray(ids, dtype=np.intp)]
-        return rows, self._table(nodes)[rows].argmax(axis=1)
-
-    def _table(self, nodes) -> np.ndarray:
-        """table[u]: u is one of the nodes; the -1 padding reads the last
-        entry. Indexing it with tokens scans the corpus by node without
-        np.isin, whose sort path imports numpy.ma."""
+    def first_visits(self, nodes) -> tuple:
+        """(ids, first): the sorted indices of the walks that pass through
+        any of the nodes, and the index of each one's first token among
+        them, as intp arrays. One scan of the matrix through a node table;
+        np.isin's sort path would import numpy.ma."""
         nodes = list(nodes)
         table = np.zeros(max(self.num_nodes, max(nodes, default=0) + 1) + 1, dtype=bool)
-        table[nodes] = True
-        return table
+        table[nodes] = True  # the -1 padding reads the last entry
+        hit = table[self.tokens]
+        ids = np.flatnonzero(hit.any(axis=1))
+        return ids, hit[ids].argmax(axis=1)
 
     def flat_tokens(self) -> tuple:
         """(every token as intp, length of each walk), in corpus order."""
@@ -480,24 +476,23 @@ class WalkCorpus:
         return self.tokens[real].astype(np.intp), real.sum(axis=1)
 
     def copy(self) -> "WalkCorpus":
-        out = WalkCorpus(list(self.walks), self.graph_version, self.n,
-                         self.l, self.mode, self.num_nodes,
-                         tokens=self.tokens.copy())
-        out._ids = self._ids
+        """A copy with its own walk list and token matrix; it shares the
+        walk tuples and `_ids`."""
+        out = copy.copy(self)
+        out.walks = list(self.walks)
+        out.tokens = self.tokens.copy()
         return out
 
     def replace_walks(self, ids, rows):
         """Put the walks of these token rows at the indices `ids`."""
-        for i, walk in zip(ids, self._tuples(rows)):
+        for i, walk in zip(ids.tolist(), self._tuples(rows)):
             self.walks[i] = walk
-        self.tokens[np.asarray(ids, dtype=np.intp)] = self._fit(rows)
+        self.tokens[ids] = rows
 
     def append_walks(self, rows):
-        """Append the walks of these token rows; an empty corpus takes the
-        rows as its matrix."""
-        rows = self._fit(rows)
+        """Append the walks of these token rows."""
         self.walks += self._tuples(rows)
-        self.tokens = np.concatenate([self.tokens, rows]) if len(self.tokens) else rows
+        self.tokens = np.concatenate([self.tokens, rows])
 
     def _tuples(self, rows) -> list:
         """The walks of token rows as tuples, built _BLOCK rows at a time
@@ -516,18 +511,12 @@ class WalkCorpus:
             walks += [tuple(r[:e]) for r, e in zip(self._ids[tok].tolist(), ends)]
         return walks
 
-    def _fit(self, tokens) -> np.ndarray:
-        """Token rows padded with -1 to the corpus width (a hand-built
-        corpus can be wider than l)."""
-        extra = self.tokens.shape[1] - tokens.shape[1]
-        return np.pad(tokens, ((0, 0), (0, extra)), constant_values=-1) if extra else tokens
 
-
-def _pad(walks, width: int) -> np.ndarray:
-    """The walks as int32 rows padded with -1 to `width` or the longest walk."""
+def _pad(walks, l: int) -> np.ndarray:
+    """Walks of at most l nodes as int32 rows padded with -1 to l."""
     lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
-    out = np.full((len(walks), max(width, lengths.max(initial=0))), -1, dtype=np.int32)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+    out = np.full((len(walks), l), -1, dtype=np.int32)
+    out[np.arange(l) < lengths[:, None]] = np.fromiter(
         chain.from_iterable(walks), dtype=np.int32, count=int(lengths.sum()))
     return out
 
@@ -552,8 +541,8 @@ def generate_corpus(g: TransactionGraph, cfg: WalkConfig, mode: str,
     if g.num_nodes == 0:
         raise InputError("cannot generate walks on an empty graph")
     sampler = make_sampler(g, cfg, mode)
-    corpus = WalkCorpus([], g.version, cfg.num_walks, cfg.walk_length, mode, g.num_nodes)
-    corpus.append_walks(sampler.walks(range(g.num_nodes * cfg.num_walks)))
+    corpus = WalkCorpus(sampler.walks(range(g.num_nodes * cfg.num_walks)), g.version,
+                        cfg.num_walks, cfg.walk_length, mode, g.num_nodes)
     if counter is not None:
         counter.add(sampler)
     return corpus
@@ -574,9 +563,11 @@ def save_corpus(corpus: WalkCorpus, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{WALKS_MAGIC} graph_version={corpus.graph_version} "
                  f"n={corpus.n} l={corpus.l} mode={corpus.mode}\n")
-        for w in corpus.walks:
-            fh.write(" ".join(map(str, w)))
-            fh.write("\n")
+        for lo in range(0, len(corpus), _BLOCK):
+            tok = corpus.tokens[lo:lo + _BLOCK]
+            for row, end in zip(tok.tolist(), (tok >= 0).sum(axis=1).tolist()):
+                fh.write(" ".join(map(str, row[:end])))
+                fh.write("\n")
 
 
 def load_corpus(path) -> WalkCorpus:
@@ -620,4 +611,4 @@ def load_corpus(path) -> WalkCorpus:
     if len(walks) != n * num_nodes:
         raise ParseError(f"{path}:{line_no}: {len(walks)} walks, but n={n} "
                          f"walks from each of {num_nodes} nodes make {n * num_nodes}")
-    return WalkCorpus(walks, version, n, l, mode, num_nodes)
+    return WalkCorpus(_pad(walks, l), version, n, l, mode, num_nodes)

@@ -391,6 +391,7 @@ def test_corpus_file_validation_exits_2_with_location(tmp_path, capsys):
         ("walks reordered", [head, good[0], good[2], good[1], good[3]], 3),
         ("short count", [head] + good[:3], 4),
         ("node without walks", [head] + good[:3] + ["1 0 2"], 5),
+        ("id past int32", [head, "0 3000000000 0"] + good[1:], 5),
     ]
     corpus = tmp_path / "c.wfw"
     out = tmp_path / "emb.txt"
@@ -404,6 +405,17 @@ def test_corpus_file_validation_exits_2_with_location(tmp_path, capsys):
         assert not out.exists()
         assert main(["eval", "mae", "--corpus", str(corpus),
                      "--graph", str(graph)]) == 2, name
+
+
+def test_bad_embeddings_header_exits_2(tmp_path, sbm_workdir, capsys):
+    _, _, labels = sbm_workdir
+    emb = tmp_path / "emb.txt"
+    for head in ("-1 2", "1 -2", "99999999999999 64"):
+        emb.write_text(f"{head}\na 0.5 0.5\n")
+        capsys.readouterr()
+        assert main(["eval", "classify", "--embeddings", str(emb),
+                     "--labels", str(labels)]) == 2, head
+        assert capsys.readouterr().err.startswith(f"error: {emb}:"), head
 
 
 def test_eval_classify_missing_labels(tmp_path, sbm_workdir):

@@ -28,12 +28,12 @@ from walkforge.embedding import (
     softmax_loss_grads,
 )
 from walkforge.synth import preferential_attachment_stream, sbm_stream
-from walkforge.walks import WalkCorpus
+from walkforge.walks import WalkCorpus, _pad
 from conftest import rows_from_edges
 
 
-def corpus_of(walks, num_nodes, l=5):
-    return WalkCorpus([tuple(w) for w in walks], 0, 1, l, "uniform", num_nodes)
+def corpus_of(walks, num_nodes, l=7):
+    return WalkCorpus(_pad(walks, l), 0, 1, l, "uniform", num_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_warm_retrain_initializes_new_rows():
     cfg = SkipGramConfig(dim=8, window=3, epochs=1, negatives=5, seed=5)
     corpus = generate_corpus(g, WalkConfig(num_walks=3, walk_length=5, seed=5), "uniform")
     prev = train(corpus, cfg)
-    bigger = WalkCorpus(corpus.walks + [(10,), (10,)], 1, 3, 5, "uniform", 11)
+    bigger = WalkCorpus(_pad(corpus.walks + [(10,), (10,)], 5), 1, 3, 5, "uniform", 11)
     warm = warm_retrain(prev, bigger, SkipGramConfig(dim=8, window=3, epochs=0,
                                                      negatives=5, seed=5))
     assert warm.num_nodes == 11
@@ -417,6 +417,15 @@ def test_import_header_mismatch(tmp_path):
     path.write_text("1 2\na 0.0\n")
     with pytest.raises(ParseError):
         import_embeddings(path)
+    # the header is checked before anything is sized from it
+    for head, message in (("-1 2", ":1: need count >= 0"),
+                          ("1 -2", ":1: need count >= 0"),
+                          ("1 0", ":1: need count >= 0"),
+                          ("1 2 3", ":1: expected"),
+                          ("99999999999999 2", ": header declares 99999999999999 rows, found 1")):
+        path.write_text(f"{head}\na 0.0 0.0\n")
+        with pytest.raises(ParseError, match=message):
+            import_embeddings(path)
 
 
 def test_min_count_drops_rare_nodes_from_pairs():

@@ -23,12 +23,12 @@ from walkforge import (
     train_logreg,
 )
 from walkforge.evaluation import _logreg_gradient
-from walkforge.walks import WalkCorpus
+from walkforge.walks import WalkCorpus, _pad
 from conftest import random_rows, rows_from_edges
 
 
 def corpus_of(walks, num_nodes, mode="uniform"):
-    return WalkCorpus([tuple(w) for w in walks], 0, 1, 5, mode, num_nodes)
+    return WalkCorpus(_pad(walks, 5), 0, 1, 5, mode, num_nodes)
 
 
 # ---------------------------------------------------------------------------

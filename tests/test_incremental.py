@@ -21,7 +21,7 @@ from walkforge import (
     plan_update,
     unbiased_update,
 )
-from walkforge.walks import build_node_index
+from walkforge.walks import _pad, build_node_index
 from conftest import random_rows, rows_from_edges
 
 
@@ -55,6 +55,21 @@ def walks_through(corpus, nodes) -> set:
     return {i for i, w in enumerate(corpus.walks) if set(w) & set(nodes)}
 
 
+def assert_plan_resumes(plan, corpus):
+    """The plan's walks and resume tokens against a Python scan of the walk
+    tuples: uniform walks resume at their first affected node, MH walks
+    at 0."""
+    nodes = plan.affected_nodes
+    oracle = {i: next(k for k, u in enumerate(w) if u in nodes)
+              for i, w in enumerate(corpus.walks) if set(w) & nodes}
+    assert plan.affected_walks.dtype == plan.resume.dtype == np.intp
+    assert plan.affected_walks.tolist() == sorted(oracle)
+    if corpus.mode == "uniform":
+        assert plan.resume.tolist() == [oracle[i] for i in sorted(oracle)]
+    else:
+        assert not plan.resume.any()
+
+
 def assert_rows_are_padded_walks(corpus):
     width = corpus.tokens.shape[1]
     assert corpus.tokens.dtype == np.int32
@@ -72,7 +87,7 @@ def test_plan_empty_delta():
     corpus = generate_corpus(g, WalkConfig(num_walks=1, walk_length=3), "uniform")
     g2, delta = apply_batch(g, [])
     plan = plan_update(corpus, delta, g2)
-    assert not plan.affected_walks and not plan.new_nodes
+    assert not len(plan.affected_walks) and not plan.new_nodes
 
 
 def test_plan_uses_node_index():
@@ -81,7 +96,7 @@ def test_plan_uses_node_index():
     g2, delta = apply_batch(g, [("n1", "n3", 1.0, 9_000)])
     plan = plan_update(corpus, delta, g2)
     assert plan.affected_nodes == uniform_law_changed(g, g2) == {g.id_of("n1")}
-    assert plan.affected_walks == walks_through(corpus, plan.affected_nodes)
+    assert set(plan.affected_walks.tolist()) == walks_through(corpus, plan.affected_nodes)
 
 
 def test_plan_version_mismatch():
@@ -99,12 +114,18 @@ def test_plan_version_mismatch():
 def test_plan_matches_full_scan_oracle():
     rows = random_rows(200, 700, seed=3)
     g = ingest_edges(rows)
-    corpus = generate_corpus(g, WalkConfig(num_walks=2, walk_length=5, seed=4), "uniform")
+    cfg = WalkConfig(num_walks=2, walk_length=5, seed=4)
+    corpus = generate_corpus(g, cfg, "uniform")
     batch = [(f"n{i}", f"n{(i * 7) % 210}", 1.0, 90_000 + i) for i in range(25)]
     g2, delta = apply_batch(g, batch)
     plan = plan_update(corpus, delta, g2)
     assert plan.affected_nodes == uniform_law_changed(g, g2)
-    assert plan.affected_walks == walks_through(corpus, uniform_law_changed(g, g2))
+    assert_plan_resumes(plan, corpus)
+    assert plan.resume.any()  # some walk resumes past its origin
+    mh = generate_corpus(g, cfg, "mh")
+    mh_plan = plan_update(mh, delta, g2)
+    assert len(mh_plan.affected_walks)
+    assert_plan_resumes(mh_plan, mh)
 
 
 @st.composite
@@ -140,11 +161,14 @@ def test_uniform_plan_is_exactly_the_changed_laws(case):
     for d in (delta, diff_graphs(g, g2)):
         plan = plan_update(uniform, d, g2)
         assert plan.affected_nodes == changed
-        assert plan.affected_walks == walks_through(uniform, changed)
+        assert set(plan.affected_walks.tolist()) == walks_through(uniform, changed)
         assert plan.new_nodes == delta.new_nodes
-    # MH keeps every touched endpoint
+        assert_plan_resumes(plan, uniform)
+    # MH keeps every touched endpoint, and resumes its walks at the origin
     mh = generate_corpus(g, cfg, "mh")
-    assert plan_update(mh, delta, g2).affected_nodes == delta.affected_nodes
+    plan = plan_update(mh, delta, g2)
+    assert plan.affected_nodes == delta.affected_nodes
+    assert_plan_resumes(plan, mh)
 
 
 @given(graph_and_batch(), st.integers(0, 2**32))
@@ -166,31 +190,33 @@ def test_uniform_update_is_regeneration(case, seed):
 
 
 def test_uniform_update_trims_token_rows_at_first_affected_node():
-    """A hand-built corpus on 0 -> 1, 2 -> 3 -> 0, one row wider than l.
-    The batch 1 -> 2 closes the cycle 0 -> 1 -> 2 -> 3 -> 0, so node 1 is
-    affected and every continuation is forced; 4 -> 0 adds a new node."""
+    """A hand-built corpus on 0 -> 1, 2 -> 3 -> 0. The batch 1 -> 2 closes
+    the cycle 0 -> 1 -> 2 -> 3 -> 0, so node 1 is affected and every
+    continuation is forced; 4 -> 0 adds a new node."""
     g = ingest_edges(rows_from_edges([(0, 1), (2, 3), (3, 0)]))
     cfg = WalkConfig(num_walks=2, walk_length=5, seed=3)
     walks = [(0, 1), (0, 2),          # last token; no affected node
              (1,), (1, 3, 1, 3, 0),   # origin; repeated
-             (2, 3, 0, 3, 0, 1, 3),   # wider than l; affected past token l - 1
+             (2, 3, 0, 3, 1),         # affected at token l - 1
              (2, 1, 3, 1),            # mid-walk, then repeated
              (3, 0, 1), (3, 0)]
-    corpus = WalkCorpus(walks, g.version, 2, 5, "uniform", g.num_nodes)
-    assert corpus.tokens.shape == (8, 7)
+    corpus = WalkCorpus(_pad(walks, 5), g.version, 2, 5, "uniform", g.num_nodes)
     g2, delta = apply_batch(g, [("n1", "n2", 1.0, 10), ("n4", "n0", 1.0, 11)])
+    plan = plan_update(corpus, delta, g2)
+    assert plan.affected_nodes == {1}
+    assert plan.affected_walks.tolist() == [0, 2, 3, 4, 5, 6]
+    assert plan.resume.tolist() == [1, 0, 0, 4, 1, 2]
     updated = unbiased_update(corpus, g2, delta, cfg, "uniform")
-    assert plan_update(corpus, delta, g2).affected_nodes == {1}
     assert updated.walks == [
         (0, 1, 2, 3, 0), (0, 2),
         (1, 2, 3, 0, 1), (1, 2, 3, 0, 1),
-        (2, 3, 0, 3, 0, 1),
+        (2, 3, 0, 3, 1),
         (2, 1, 2, 3, 0),
         (3, 0, 1, 2, 3), (3, 0),
         (4, 0, 1, 2, 3), (4, 0, 1, 2, 3)]
-    assert updated.walks[1] is walks[1] and updated.walks[7] is walks[7]
+    assert updated.walks[1] is corpus.walks[1] and updated.walks[7] is corpus.walks[7]
     assert_rows_are_padded_walks(updated)
-    assert updated.tokens.shape == (10, 7)
+    assert updated.tokens.shape == (10, 5)
     assert corpus.walks == walks  # the parent corpus is untouched
 
 
@@ -292,7 +318,7 @@ def test_chained_mh_updates_keep_token_rows():
         g2, delta = apply_batch(g, [(f"n{k}", f"n{60 + k}", 1.0, 70_000 + 2 * k),
                                     (f"n{60 + k}", f"n{k + 5}", 1.0, 70_001 + 2 * k)])
         updated = unbiased_update(corpus, g2, delta, cfg, "mh")
-        assert plan_update(corpus, delta, g2).affected_walks
+        assert len(plan_update(corpus, delta, g2).affected_walks)
         assert len(updated) == len(corpus) + cfg.num_walks
         assert_rows_are_padded_walks(updated)
         g, corpus = g2, updated
@@ -309,8 +335,10 @@ def test_resampling_on_unchanged_graph_keeps_corpus(mode):
     corpus = generate_corpus(g, cfg, mode)
     g2, delta = apply_batch(g, [])
     marked = frozenset(range(0, g.num_nodes, 3))
-    plan = UpdatePlan(frozenset(walks_through(corpus, marked)), frozenset(), marked)
-    assert plan.affected_walks
+    ids, first = corpus.first_visits(marked)
+    resume = first if mode == "uniform" else np.zeros_like(first)
+    plan = UpdatePlan(ids, resume, frozenset(), marked)
+    assert len(plan.affected_walks)
     updated = unbiased_update(corpus, g2, delta, cfg, mode, plan=plan)
     assert updated.walks == corpus.walks
 
@@ -346,8 +374,8 @@ def test_copy_on_write_keeps_parent_and_siblings_apart():
     g_b, delta_b = apply_batch(g, [("n4", "n51", 1.0, 90_000),
                                    ("n5", "n6", 1.0, 90_001),
                                    ("n52", "n7", 1.0, 90_002)])
-    assert plan_update(parent, delta_a, g_a).affected_walks
-    assert plan_update(parent, delta_b, g_b).affected_walks
+    assert len(plan_update(parent, delta_a, g_a).affected_walks)
+    assert len(plan_update(parent, delta_b, g_b).affected_walks)
     child_a = unbiased_update(parent, g_a, delta_a, cfg, "uniform")
     child_b = unbiased_update(parent, g_b, delta_b, cfg, "uniform")
     naive = naive_update(parent, g_a, delta_a, cfg, "uniform")

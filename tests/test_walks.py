@@ -10,6 +10,8 @@ from walkforge import (
     ConfigError,
     ParseError,
     WalkConfig,
+    WalkCorpus,
+    apply_batch,
     generate_corpus,
     ingest_edges,
     leap_transition_matrix,
@@ -18,6 +20,7 @@ from walkforge import (
     mean_defacto_length,
     mh_acceptance,
     save_corpus,
+    unbiased_update,
 )
 from walkforge.graph import STAT_KINDS
 from walkforge.incremental import DrawCounter
@@ -319,7 +322,15 @@ def test_corpus_counts_and_origins():
     assert len(corpus) == 6
     assert [w[0] for w in corpus.walks] == [0, 0, 1, 1, 2, 2]
     for u in g.nodes():
-        assert corpus.walks_containing([u])
+        assert len(corpus.first_visits([u])[0])
+
+
+def test_corpus_takes_only_l_wide_int32_rows():
+    rows = np.zeros((2, 5), dtype=np.int32)
+    assert WalkCorpus(rows, 0, 2, 5, "uniform", 1).walks == [(0,) * 5] * 2
+    for bad in (rows[:, :4], np.zeros((2, 6), dtype=np.int32), rows.astype(np.int64)):
+        with pytest.raises(ConfigError, match="token matrix"):
+            WalkCorpus(bad, 0, 2, 5, "uniform", 1)
 
 
 def test_corpus_seed_determinism():
@@ -430,11 +441,21 @@ def test_corpus_round_trip(tmp_path):
     save_corpus(corpus, path)
     loaded = load_corpus(path)
     assert loaded.walks == corpus.walks
+    assert np.array_equal(loaded.tokens, corpus.tokens)
     assert (loaded.graph_version, loaded.n, loaded.l, loaded.mode) == \
            (corpus.graph_version, corpus.n, corpus.l, corpus.mode)
     assert loaded.node_index == corpus.node_index
     head = path.read_text().splitlines()[0]
     assert head == "WALKFORGE-WALKS v1 graph_version=0 n=2 l=5 mode=mh"
+    # saving what was loaded writes the same bytes, for a generated corpus
+    # and for one carried through an update in each mode
+    g2, delta = apply_batch(g, [("n0", "n30", 1.0, 90_000), ("n30", "n5", 1.0, 90_001)])
+    for mode in ("uniform", "mh"):
+        start = generate_corpus(g, cfg, mode)
+        for c in (start, unbiased_update(start, g2, delta, cfg, mode)):
+            save_corpus(c, path)
+            save_corpus(load_corpus(path), tmp_path / "again.wfw")
+            assert (tmp_path / "again.wfw").read_bytes() == path.read_bytes()
 
 
 def test_corpus_bad_header(tmp_path):
