@@ -1,4 +1,4 @@
-"""Evolving directed transaction graph with cached per-node activity stats.
+"""Evolving directed transaction graph whose versions are edge columns.
 
 Raw transfer rows (sender, receiver, value, timestamp) are aggregated into
 at most one weighted edge per ordered node pair. Graph versions are
@@ -12,7 +12,8 @@ aggregates a block of rows by (src, dst) and merges it into a base version
 (the empty graph, or the parent for `apply_batch`) with one sorted merge.
 That merge, or `diff_graphs`'s lookup of one version's pairs in the other,
 marks the edges the parent lacks; `_delta` builds every delta from those
-marks.
+marks. Per-node stats are derived from a version's edges when first read,
+so equal edges give equal stats however the version was built.
 
 Rows become columns once, at the entry point, and stay columns: CSV rows
 through `_columns`, dump lines through one `np.loadtxt` per run of edge
@@ -85,16 +86,6 @@ class GraphDelta:
     grown_nodes: frozenset
     edge_columns: tuple
 
-    @property
-    def new_edges(self) -> tuple:
-        """The batch's edges as TxEdges, built on each request."""
-        return tuple(map(TxEdge, *(col.tolist() for col in self.edge_columns)))
-
-    @property
-    def empty(self) -> bool:
-        return (not self.new_nodes and not self.affected_nodes
-                and not len(self.edge_columns[0]))
-
 
 def _rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every entry of a CSR."""
@@ -105,22 +96,21 @@ class TransactionGraph:
     """Immutable snapshot of the transaction graph at one version.
 
     Storage is numpy columns: `_indptr` and the per-edge `_dst`,
-    `_weight`, `_ts` and `_count`, sorted by (src, dst), and the per-node
-    `_d_in`, `_v_in`, `_v_out` and `_freq`. `out_csr()` is the stored
-    adjacency; `in_csr()` is its transpose, merged from the parent's when
-    that was built. The graph owns every traversal of its adjacency, so no
-    other module depends on the layout.
+    `_weight`, `_ts` and `_count`, sorted by (src, dst). Per-node stats are
+    derived from them when first read. `out_csr()` is the stored adjacency;
+    `in_csr()` is its transpose, merged from the parent's when that was
+    built. The graph owns every traversal of its adjacency, so no other
+    module depends on the layout.
     """
 
-    def __init__(self, addresses, ids, edges, nodes, version, max_timestamp,
-                 in_adj):
+    def __init__(self, addresses, ids, edges, version, max_timestamp, in_adj):
         self._addresses, self._ids = addresses, ids
         self._indptr, self._dst, self._weight, self._ts, self._count = edges
-        self._d_in, self._v_in, self._v_out, self._freq = nodes
         self.version = version
         self.max_timestamp = max_timestamp
         self.num_edges = len(self._dst)
         self._in_adj = in_adj  # (indptr, indices) of in_csr(), once built
+        self._stats = {}  # kind -> stat_array(kind), once read
 
     # -- lookups -----------------------------------------------------------
 
@@ -130,9 +120,6 @@ class TransactionGraph:
 
     def nodes(self) -> range:
         return range(len(self._addresses))
-
-    def __contains__(self, u: int) -> bool:
-        return 0 <= u < len(self._addresses)
 
     def _check(self, u: int):
         if not (0 <= u < len(self._addresses)):
@@ -165,15 +152,6 @@ class TransactionGraph:
             self._in_adj = _merge(np.zeros(1, dtype=np.intp), self._dst[:0], n, keys)[:2]
         return CSR(*self._in_adj)
 
-    def edge(self, u: int, v: int) -> TxEdge | None:
-        self._check(u)
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        k = lo + int(np.searchsorted(self._dst[lo:hi], v))
-        if k == hi or self._dst[k] != v:
-            return None
-        return TxEdge(int(u), int(v), float(self._weight[k]), int(self._ts[k]),
-                      int(self._count[k]))
-
     def edges(self):
         """All edges, sorted by (src, dst)."""
         return map(TxEdge, _rows(self._indptr).tolist(), self._dst.tolist(),
@@ -185,22 +163,33 @@ class TransactionGraph:
         """Activity statistic of node u: incoming/outgoing value, transfer
         frequency, or in/out degree."""
         self._check(u)
-        if kind == "D_out":
-            return float(self._indptr[u + 1] - self._indptr[u])
-        return float(self._stat_column(kind)[u])
-
-    def _stat_column(self, kind: str) -> np.ndarray:
-        column = {"V_in": self._v_in, "V_out": self._v_out, "F": self._freq,
-                  "D_in": self._d_in}.get(kind)
-        if column is None:
-            raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
-        return column
+        return float(self.stat_array(kind)[u])
 
     def stat_array(self, kind: str) -> np.ndarray:
-        """node_stat(u, kind) of every node u, as one float64 array."""
-        if kind == "D_out":
-            return np.diff(self._indptr).astype(np.float64)
-        return self._stat_column(kind).astype(np.float64)
+        """node_stat(u, kind) of every node u, as one read-only float64
+        array derived from the edges on first read. V_in and V_out add the
+        weights in (src, dst) order from +0.0; F, D_in and D_out are exact
+        int64 sums, and a self-transfer counts once in F."""
+        column = self._stats.get(kind)
+        if column is None:
+            if kind not in STAT_KINDS:
+                raise ConfigError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
+            n, src, dst = self.num_nodes, _rows(self._indptr), self._dst
+            if kind in ("V_in", "V_out"):  # bincount adds in order from +0.0
+                column = np.bincount(dst if kind == "V_in" else src,
+                                     weights=self._weight, minlength=n)
+            elif kind == "F":
+                other = src != dst
+                tally = np.zeros(n, dtype=np.int64)
+                np.add.at(tally, np.concatenate([src, dst[other]]),
+                          np.concatenate([self._count, self._count[other]]))
+                column = tally.astype(np.float64)
+            else:
+                column = np.bincount(dst if kind == "D_in" else src,
+                                     minlength=n).astype(np.float64)
+            column.flags.writeable = False
+            self._stats[kind] = column
+        return column
 
     def node_stats(self, u: int) -> dict:
         return {kind: self.node_stat(u, kind) for kind in STAT_KINDS}
@@ -291,7 +280,7 @@ def _empty() -> TransactionGraph:
     """The graph with no nodes, the base of ingest_edges and load_graph."""
     ints, floats = np.empty(0, dtype=np.intp), np.empty(0)
     return TransactionGraph([], {}, (np.zeros(1, dtype=np.intp), ints, floats, ints, ints),
-                            (ints, floats, floats, ints), 0, None, None)
+                            0, None, None)
 
 
 def _lookup(indptr, indices, n: int, keys) -> tuple:
@@ -323,10 +312,9 @@ def _grow(base: TransactionGraph, addresses, ids, s, d, w, ts, c,
           version: int, max_ts) -> tuple:
     """(version, block, fresh): `base` plus the rows (s, d, w, ts, c) over
     the grown node table; the block is the rows aggregated per (src, dst),
-    `fresh` marks its edges that the base lacks.
-    Float sums add in row order onto the base's value: ((old + w1) + w2),
-    from a new edge's first row (so -0.0 rows keep weight -0.0), from 0.0
-    for a node."""
+    `fresh` marks its edges that the base lacks. It builds edges only.
+    Weights add in row order onto the base's value: ((old + w1) + w2), from
+    a new edge's first row (so -0.0 rows keep weight -0.0)."""
     n = len(addresses)
     keys, first, pair = np.unique(s * n + d, return_index=True, return_inverse=True)
     later = np.delete(np.arange(len(s)), first)  # rows after their pair's first
@@ -342,17 +330,10 @@ def _grow(base: TransactionGraph, addresses, ids, s, d, w, ts, c,
         block.append(agg)
         edges.append(column)
     src, new_dst = np.divmod(keys, n)
-    other = s != d  # a self-transfer is a single transaction, not two
-    nodes = [np.pad(base._d_in, (0, n - base.num_nodes))
-             + np.bincount(new_dst[fresh], minlength=n)]
-    for column, at_node, rows in ((base._v_in, d, w), (base._v_out, s, w), (
-            base._freq, np.concatenate([s, d[other]]), np.concatenate([c, c[other]]))):
-        nodes.append(np.pad(column, (0, n - base.num_nodes)))  # a zero-padded copy
-        np.add.at(nodes[-1], at_node, rows)
     in_adj = None
     if base._in_adj is not None:  # merge the new (dst, src) pairs into it
         in_adj = _merge(*base._in_adj, n, np.sort(new_dst[fresh] * n + src[fresh]))[:2]
-    g = TransactionGraph(addresses, ids, edges, nodes, version, max_ts, in_adj)
+    g = TransactionGraph(addresses, ids, edges, version, max_ts, in_adj)
     return g, (src, new_dst, *block), fresh
 
 
