@@ -238,8 +238,6 @@ def cmd_segment(args) -> int:
 def cmd_walk(args) -> int:
     s = _Settings(args, "walk")
     mode = s.get("mode", "uniform")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cfg = _walk_config(s)
     g = load_graph(args.graph)
     corpus = generate_corpus(g, cfg, mode)

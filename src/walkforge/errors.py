@@ -1,5 +1,7 @@
 """Exception types shared across the package, and `open_text`, the one
-way input text files are opened.
+way input text files (CSV, graph dump, embeddings, labels) are opened. A
+walk corpus is binary after its header line, which `load_corpus` decodes
+itself.
 
 Two broad families matter for the CLI exit-code mapping: bad input or
 configuration (exit 2) and state/mode mismatches between artifacts

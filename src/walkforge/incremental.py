@@ -40,6 +40,7 @@ from .walks import (
     MODE_UNIFORM,
     WalkConfig,
     WalkCorpus,
+    check_mode,
     make_sampler,
 )
 
@@ -100,6 +101,7 @@ def _check_versions(corpus, g_next, delta):
 
 
 def _check_update_args(corpus, g_next, delta, cfg, mode):
+    check_mode(mode)
     if mode != corpus.mode:
         raise ModeMismatchError(
             f"corpus was generated in {corpus.mode!r} mode; updating in "

@@ -32,9 +32,9 @@ no row; walks there take the guard path inside the same step, which is
 approximate and counted.
 
 A sampler speaks token rows only: `walks(ids, rows, start)` returns the
-int32 rows it stepped, and resumes walks from given rows. A corpus is
-built, loaded and saved as rows exactly l wide; it turns rows into
-tuples for its `walks` view, and is the only code that does.
+int32 rows it stepped, and resumes walks from given rows. A corpus (and
+its file, after one header line) is rows exactly l wide; it turns rows
+into tuples for its `walks` view, and is the only code that does.
 
 Every random draw is counter-keyed (Salmon et al., SC 2011): draw c of
 walk w = u*n + i, the i-th walk from node u, is SplitMix64's output at
@@ -49,19 +49,21 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, open_text
+from .errors import ConfigError, InputError, ParseError
 from .graph import STAT_KINDS, TransactionGraph
 
 MODE_UNIFORM = "uniform"
 MODE_MH = "mh"
 MODES = (MODE_UNIFORM, MODE_MH)
 
-WALKS_MAGIC = "WALKFORGE-WALKS v1"
+WALKS_MAGIC = "WALKFORGE-WALKS v2"
+_HEADER_MAX = 256  # bytes in a corpus file's header line, newline included
 
 # explosion-guard fallback: retries of random h-step expansion per draw
 _FALLBACK_TRIES = 16
@@ -512,15 +514,6 @@ class WalkCorpus:
         return walks
 
 
-def _pad(walks, l: int) -> np.ndarray:
-    """Walks of at most l nodes as int32 rows padded with -1 to l."""
-    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
-    out = np.full((len(walks), l), -1, dtype=np.int32)
-    out[np.arange(l) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(walks), dtype=np.int32, count=int(lengths.sum()))
-    return out
-
-
 def build_node_index(walks) -> dict:
     index = {}
     for i, w in enumerate(walks):
@@ -560,21 +553,23 @@ def mean_defacto_length(corpus: WalkCorpus) -> float:
 # ---------------------------------------------------------------------------
 
 def save_corpus(corpus: WalkCorpus, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{WALKS_MAGIC} graph_version={corpus.graph_version} "
-                 f"n={corpus.n} l={corpus.l} mode={corpus.mode}\n")
-        for lo in range(0, len(corpus), _BLOCK):
-            tok = corpus.tokens[lo:lo + _BLOCK]
-            for row, end in zip(tok.tolist(), (tok >= 0).sum(axis=1).tolist()):
-                fh.write(" ".join(map(str, row[:end])))
-                fh.write("\n")
+    """The header line, then the token matrix as little-endian int32."""
+    with open(path, "wb") as fh:
+        fh.write(f"{WALKS_MAGIC} graph_version={corpus.graph_version} n={corpus.n} "
+                 f"l={corpus.l} mode={corpus.mode}\n".encode("ascii"))
+        fh.write(corpus.tokens.astype("<i4", copy=False).tobytes())
 
 
 def load_corpus(path) -> WalkCorpus:
-    with open_text(path) as fh:
-        head = fh.readline().rstrip("\n")
-        parts = head.split()
-        if parts[:2] != WALKS_MAGIC.split() or len(parts) != 6:
+    """Size the payload by the header's l before reading it, then validate
+    the matrix with array checks that name the first bad walk."""
+    with open(path, "rb") as fh:
+        head = fh.readline(_HEADER_MAX)
+        try:
+            parts = head.decode("utf-8").split()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}:1: not valid UTF-8") from None
+        if parts[:2] != WALKS_MAGIC.split() or len(parts) != 6 or head[-1:] != b"\n":
             raise ParseError(f"{path}:1: not a {WALKS_MAGIC} file")
         try:
             kv = dict(p.split("=", 1) for p in parts[2:])
@@ -588,27 +583,26 @@ def load_corpus(path) -> WalkCorpus:
             raise ParseError(f"{path}:1: unknown mode {mode!r}")
         if n < 1 or l < 2:
             raise ParseError(f"{path}:1: need n >= 1 and l >= 2, got n={n} l={l}")
-        walks = []
-        line_no = 1
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                walk = tuple(int(x) for x in fields)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: non-integer node id") from None
-            if min(walk) < 0:
-                raise ParseError(f"{path}:{line_no}: negative node id {min(walk)}")
-            if len(walk) > l:
-                raise ParseError(f"{path}:{line_no}: walk of {len(walk)} nodes "
-                                 f"is longer than l={l}")
-            if walk[0] != len(walks) // n:
-                raise ParseError(f"{path}:{line_no}: walk {len(walks)} starts at "
-                                 f"node {walk[0]}, not {len(walks) // n}")
-            walks.append(walk)
-    num_nodes = 1 + max((max(w) for w in walks), default=-1)
-    if len(walks) != n * num_nodes:
-        raise ParseError(f"{path}:{line_no}: {len(walks)} walks, but n={n} "
-                         f"walks from each of {num_nodes} nodes make {n * num_nodes}")
-    return WalkCorpus(_pad(walks, l), version, n, l, mode, num_nodes)
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size == 0 or size % (4 * l):
+            raise ParseError(f"{path}: {size} bytes after the header are not "
+                             f"one or more walks of l={l} int32 tokens")
+        tokens = np.fromfile(fh, dtype="<i4").astype(np.int32, copy=False).reshape(-1, l)
+    walks = len(tokens)
+    if walks % n:
+        raise ParseError(f"{path}: {walks} walks are not n={n} walks from each node")
+    num_nodes = walks // n
+    bad_id = (tokens < -1) | (tokens >= num_nodes)
+    bad_start = tokens[:, 0] != np.arange(walks) // n
+    gap = (tokens[:, :-1] < 0) & (tokens[:, 1:] >= 0)
+    bad = bad_id.any(axis=1) | bad_start | gap.any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        if bad_id[k].any():
+            why = f"node id {tokens[k][bad_id[k]][0]} is not in 0..{num_nodes - 1}"
+        elif bad_start[k]:
+            why = f"starts at node {tokens[k, 0]}, not {k // n}"
+        else:
+            why = "a node id follows the -1 padding"
+        raise ParseError(f"{path}: walk {k}: {why}")
+    return WalkCorpus(tokens, version, n, l, mode, num_nodes)

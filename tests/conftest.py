@@ -58,3 +58,19 @@ def resumed(sampler, prefixes, walk_ids):
         row[:len(p)] = p
     rows = sampler.walks(walk_ids, rows, np.array([len(p) - 1 for p in prefixes]))
     return [tuple(r[r >= 0].tolist()) for r in rows]
+
+
+def pad_walks(walks, l):
+    """Walks of at most l nodes as int32 rows padded with -1 to l."""
+    rows = np.full((len(walks), l), -1, dtype=np.int32)
+    for row, walk in zip(rows, walks):
+        row[:len(walk)] = walk
+    return rows
+
+
+def write_corpus(path, header, rows):
+    """A corpus file: the header line (str, or bytes for one that is not
+    UTF-8), then the padded rows as little-endian int32."""
+    head = header if isinstance(header, bytes) else header.encode()
+    with open(path, "wb") as fh:
+        fh.write(head + b"\n" + np.asarray(rows, dtype="<i4").tobytes())

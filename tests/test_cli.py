@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from walkforge import (
@@ -16,7 +17,7 @@ from walkforge import (
 )
 from walkforge.cli import _read_labels, main
 from walkforge.synth import sbm_stream
-from conftest import random_rows
+from conftest import random_rows, write_corpus
 
 
 def write_edges(path, rows):
@@ -185,9 +186,8 @@ def test_update_naive_keeps_old_lines(tmp_path, segment_pair, capsys):
     assert report["strategy"] == "naive"
     assert {"new_nodes", "affected_nodes", "affected_walks", "candidate_draws",
             "wall_time_s"} <= set(report)
-    old_lines = corpus0.read_text().splitlines()[1:]
-    new_lines = updated.read_text().splitlines()[1:]
-    assert new_lines[:len(old_lines)] == old_lines
+    old = load_corpus(corpus0).tokens
+    assert np.array_equal(load_corpus(updated).tokens[:len(old)], old)
 
 
 def test_update_reports_mode_aware_plan(tmp_path, segment_pair, capsys):
@@ -266,7 +266,7 @@ def test_update_rejects_corpus_of_another_graph(tmp_path, segment_pair):
                      "--graph", str(prev)]) == 3
 
 
-def test_update_rejects_mode_mismatch(tmp_path, segment_pair):
+def test_update_rejects_mode_mismatch(tmp_path, segment_pair, capsys):
     g0, g1 = segment_pair
     corpus0 = tmp_path / "c0.wfw"
     main(["walk", str(g0), "--mode", "uniform", "--n", "2", "--seed", "3",
@@ -275,6 +275,21 @@ def test_update_rejects_mode_mismatch(tmp_path, segment_pair):
                  "--graph-next", str(g1), "--mode", "mh", "--n", "2",
                  "--seed", "3", "--out", str(tmp_path / "x.wfw")])
     assert code == 3
+    # a mode that is no mode is bad input (2), before any mode mismatch (3)
+    config = tmp_path / "warp.ini"
+    config.write_text("[walk]\nmode = warp\n")
+    message = "error: mode must be one of ('uniform', 'mh'), got 'warp'\n"
+    for strategy in ("unbiased", "naive", "scratch"):
+        capsys.readouterr()
+        code = main(["update", "--corpus", str(corpus0), "--graph-prev", str(g0),
+                     "--graph-next", str(g1), "--strategy", strategy,
+                     "--config", str(config), "--out", str(tmp_path / "x.wfw")])
+        assert code == 2, strategy
+        assert capsys.readouterr().err == message, strategy
+    assert main(["walk", str(g0), "--config", str(config),
+                 "--out", str(tmp_path / "x.wfw")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "x.wfw").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +344,6 @@ def test_undecodable_input_exits_2_and_names_the_line(sbm_workdir, capsys):
                              ["update", "--corpus", corpus, "--graph-prev", graph,
                               "--graph-next", graph, "--out", out],
                              ["train", corpus, "--graph", graph, "--out", out]]),
-        (corpus, load_corpus, [["train", corpus, "--out", out],
-                               ["eval", "mae", "--corpus", corpus, "--graph", graph]]),
         (emb, import_embeddings, [classify]),
         (labels, lambda path: _read_labels(path, {}), [classify]),
     ]
@@ -374,37 +387,56 @@ def test_eval_mae_rejects_mh_corpus(tmp_path, graph_file):
 
 def test_corpus_file_validation_exits_2_with_location(tmp_path, capsys):
     """A corpus file must hold n walks of at most l nodes from each node, in
-    node order; walk i is keyed as the (i % n)-th walk from node i // n."""
+    node order; walk k is keyed as the (k % n)-th walk from node k // n.
+    The header is named as line 1, a bad walk by its index."""
     edges = tmp_path / "edges.csv"
     write_edges(edges, [("a", "b", 1.0, 0), ("b", "a", 1.0, 1)])
     graph = tmp_path / "g.wfg"
     main(["ingest", str(edges), "--out", str(graph)])
-    head = "WALKFORGE-WALKS v1 graph_version=0 n=2 l=3 mode=uniform"
-    good = ["0 1 0", "0 1 0", "1 0 1", "1 0 1"]
-    cases = [
-        ("n=0", [head.replace("n=2", "n=0")] + good, 1),
-        ("l=1", [head.replace("l=3", "l=1")] + good, 1),
-        ("negative origin", [head, "-1 0 1"] + good[1:], 2),
-        ("negative id", [head, good[0], "0 -1 0"] + good[2:], 3),
-        ("too long", [head, good[0], "0 1 0 1"] + good[2:], 3),
-        ("walk deleted", [head] + good[1:], 3),
-        ("walks reordered", [head, good[0], good[2], good[1], good[3]], 3),
-        ("short count", [head] + good[:3], 4),
-        ("node without walks", [head] + good[:3] + ["1 0 2"], 5),
-        ("id past int32", [head, "0 3000000000 0"] + good[1:], 5),
+    head = "WALKFORGE-WALKS v2 graph_version=0 n=2 l=3 mode=uniform"
+    good = [[0, 1, 0], [0, 1, 0], [1, 0, 1], [1, 0, 1]]
+    cases = [  # name, header, rows, bytes cut (-) or added (+), message start
+        ("n=0", head.replace("n=2", "n=0"), good, 0, ":1:"),
+        ("l=1", head.replace("l=3", "l=1"), good, 0, ":1:"),
+        ("v1 header", head.replace("v2", "v1"), good, 0, ":1:"),
+        ("non-UTF-8 header", b"\xff" + head.encode(), good, 0, ":1:"),
+        ("header past 256 bytes", head + " " * 256, good, 0, ":1:"),
+        ("l past the payload", head.replace("l=3", "l=99999999999"),
+         [[0, 1], [0, 1]], 0, ": 16 bytes"),
+        ("zero walks", head, [], 0, ": 0 bytes"),
+        ("truncated by 1", head, good, -1, ": 47 bytes"),
+        ("truncated by 2", head, good, -2, ": 46 bytes"),
+        ("truncated by 3", head, good, -3, ": 45 bytes"),
+        ("trailing bytes", head, good, +2, ": 50 bytes"),
+        ("negative origin", head, [[-1, 0, 1]] + good[1:], 0, ": walk 0:"),
+        ("id below -1", head, [good[0], [0, 1, -2]] + good[2:], 0, ": walk 1:"),
+        ("id past the nodes", head, [[0, 2, 0]] + good[1:], 0, ": walk 0:"),
+        ("gap in the padding", head, good[:3] + [[1, -1, 1]], 0, ": walk 3:"),
+        ("walk deleted", head, good[1:], 0, ": 3 walks"),
+        ("walks reordered", head, [good[0], good[2], good[1], good[3]], 0, ": walk 1:"),
+        ("short count", head, good[:3], 0, ": 3 walks"),
+        ("node without walks", head, good[:3] + [[1, 0, 2]], 0, ": walk 3:"),
     ]
     corpus = tmp_path / "c.wfw"
     out = tmp_path / "emb.txt"
-    corpus.write_text("\n".join([head] + good) + "\n")
+    write_corpus(corpus, head, good)
     assert main(["eval", "mae", "--corpus", str(corpus), "--graph", str(graph)]) == 0
-    for name, lines, line_no in cases:
-        corpus.write_text("\n".join(lines) + "\n")
+    for name, header, rows, edit, where in cases:
+        write_corpus(corpus, header, rows)
+        data = corpus.read_bytes()
+        corpus.write_bytes(data[:len(data) + edit] if edit < 0 else data + b"\0" * edit)
         capsys.readouterr()
         assert main(["train", str(corpus), "--out", str(out)]) == 2, name
-        assert f"c.wfw:{line_no}:" in capsys.readouterr().err, name
+        assert capsys.readouterr().err.startswith(f"error: {corpus}{where}"), name
         assert not out.exists()
         assert main(["eval", "mae", "--corpus", str(corpus),
                      "--graph", str(graph)]) == 2, name
+    # a v1 text corpus is rejected by its header
+    corpus.write_text(head.replace("v2", "v1") + "\n0 1 0\n0 1 0\n1 0 1\n1 0 1\n")
+    capsys.readouterr()
+    assert main(["train", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {corpus}:1: not a "
+                                       f"WALKFORGE-WALKS v2 file\n")
 
 
 def test_bad_embeddings_header_exits_2(tmp_path, sbm_workdir, capsys):
@@ -445,13 +477,13 @@ def test_config_file_defaults_and_flag_override(tmp_path, graph_file, capsys):
     cfg.write_text("[walk]\nmode = mh\nn = 4\nl = 5\nh = 1\n\n[global]\nseed = 8\n")
     a = tmp_path / "a.wfw"
     assert main(["walk", str(graph_file), "--config", str(cfg), "--out", str(a)]) == 0
-    header = a.read_text().splitlines()[0]
+    header = a.read_bytes().splitlines()[0].decode()
     assert "n=4" in header and "mode=mh" in header
     # explicit flag beats the config value
     b = tmp_path / "b.wfw"
     assert main(["walk", str(graph_file), "--config", str(cfg), "--n", "2",
                  "--out", str(b)]) == 0
-    assert "n=2" in b.read_text().splitlines()[0]
+    assert "n=2" in b.read_bytes().splitlines()[0].decode()
 
 
 def test_unknown_config_file(tmp_path, graph_file):

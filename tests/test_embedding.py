@@ -28,12 +28,12 @@ from walkforge.embedding import (
     softmax_loss_grads,
 )
 from walkforge.synth import preferential_attachment_stream, sbm_stream
-from walkforge.walks import WalkCorpus, _pad
-from conftest import rows_from_edges
+from walkforge.walks import WalkCorpus
+from conftest import pad_walks, rows_from_edges
 
 
 def corpus_of(walks, num_nodes, l=7):
-    return WalkCorpus(_pad(walks, l), 0, 1, l, "uniform", num_nodes)
+    return WalkCorpus(pad_walks(walks, l), 0, 1, l, "uniform", num_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_warm_retrain_initializes_new_rows():
     cfg = SkipGramConfig(dim=8, window=3, epochs=1, negatives=5, seed=5)
     corpus = generate_corpus(g, WalkConfig(num_walks=3, walk_length=5, seed=5), "uniform")
     prev = train(corpus, cfg)
-    bigger = WalkCorpus(_pad(corpus.walks + [(10,), (10,)], 5), 1, 3, 5, "uniform", 11)
+    bigger = WalkCorpus(pad_walks(corpus.walks + [(10,), (10,)], 5), 1, 3, 5, "uniform", 11)
     warm = warm_retrain(prev, bigger, SkipGramConfig(dim=8, window=3, epochs=0,
                                                      negatives=5, seed=5))
     assert warm.num_nodes == 11

@@ -23,12 +23,12 @@ from walkforge import (
     train_logreg,
 )
 from walkforge.evaluation import _logreg_gradient
-from walkforge.walks import WalkCorpus, _pad
-from conftest import random_rows, rows_from_edges
+from walkforge.walks import WalkCorpus
+from conftest import pad_walks, random_rows, rows_from_edges
 
 
 def corpus_of(walks, num_nodes, mode="uniform"):
-    return WalkCorpus(_pad(walks, 5), 0, 1, 5, mode, num_nodes)
+    return WalkCorpus(pad_walks(walks, 5), 0, 1, 5, mode, num_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from walkforge import (
     plan_update,
     unbiased_update,
 )
-from walkforge.walks import _pad, build_node_index
-from conftest import random_rows, rows_from_edges
+from walkforge.walks import build_node_index
+from conftest import pad_walks, random_rows, rows_from_edges
 
 
 def build_pair(seed=0, nodes=30, edges=100):
@@ -200,7 +200,7 @@ def test_uniform_update_trims_token_rows_at_first_affected_node():
              (2, 3, 0, 3, 1),         # affected at token l - 1
              (2, 1, 3, 1),            # mid-walk, then repeated
              (3, 0, 1), (3, 0)]
-    corpus = WalkCorpus(_pad(walks, 5), g.version, 2, 5, "uniform", g.num_nodes)
+    corpus = WalkCorpus(pad_walks(walks, 5), g.version, 2, 5, "uniform", g.num_nodes)
     g2, delta = apply_batch(g, [("n1", "n2", 1.0, 10), ("n4", "n0", 1.0, 11)])
     plan = plan_update(corpus, delta, g2)
     assert plan.affected_nodes == {1}

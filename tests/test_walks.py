@@ -26,7 +26,7 @@ from walkforge.graph import STAT_KINDS
 from walkforge.incremental import DrawCounter
 from walkforge.synth import sbm_stream
 from walkforge.walks import LeapSampler, build_node_index, keyed_uniforms, make_sampler
-from conftest import random_rows, resumed, rows_from_edges, uniform_walk
+from conftest import random_rows, resumed, rows_from_edges, uniform_walk, write_corpus
 
 
 def rng_(seed=0):
@@ -445,8 +445,8 @@ def test_corpus_round_trip(tmp_path):
     assert (loaded.graph_version, loaded.n, loaded.l, loaded.mode) == \
            (corpus.graph_version, corpus.n, corpus.l, corpus.mode)
     assert loaded.node_index == corpus.node_index
-    head = path.read_text().splitlines()[0]
-    assert head == "WALKFORGE-WALKS v1 graph_version=0 n=2 l=5 mode=mh"
+    head = b"WALKFORGE-WALKS v2 graph_version=0 n=2 l=5 mode=mh\n"
+    assert path.read_bytes() == head + corpus.tokens.astype("<i4").tobytes()
     # saving what was loaded writes the same bytes, for a generated corpus
     # and for one carried through an update in each mode
     g2, delta = apply_batch(g, [("n0", "n30", 1.0, 90_000), ("n30", "n5", 1.0, 90_001)])
@@ -460,7 +460,8 @@ def test_corpus_round_trip(tmp_path):
 
 def test_corpus_bad_header(tmp_path):
     path = tmp_path / "bad.wfw"
-    path.write_text("WALKFORGE-WALKS v1 graph_version=0 n=2 l=5 mode=warp\n0 1\n")
+    write_corpus(path, "WALKFORGE-WALKS v2 graph_version=0 n=2 l=5 mode=warp",
+                 [[0, 1, -1, -1, -1]] * 2)
     with pytest.raises(ParseError):
         load_corpus(path)
 
