@@ -6,7 +6,13 @@ scale) and its negative-sampling approximation with the usual 3/4-power
 unigram noise distribution. Training takes minibatch SGD steps along the
 pair stream in corpus order, with a linearly decaying learning rate, using
 the same loss and gradient functions the gradient check verifies; it is
-bit-for-bit reproducible for a fixed seed.
+bit-for-bit reproducible for a fixed seed, whatever the BLAS thread count.
+
+One kernel, _sgns_batch, gives a batch's negative-sampling gradients on
+the distinct rows the batch touches: one matrix product for the output
+rows, a segment sum for the centers. sgns_loss_grads (the gradient check)
+and the trainer both call it, and the trainer writes each matrix's rows
+back with one indexed write.
 """
 
 from __future__ import annotations
@@ -130,31 +136,68 @@ def softmax_loss_grads(inp, out, centers, contexts):
     grad_scores = np.exp(logp) / m
     grad_scores[np.arange(m), contexts] -= 1.0 / m
     d_inp = np.zeros_like(inp)
-    _scatter_add(d_inp, centers, grad_scores @ out)
+    rows, _, order, starts = _group(centers)
+    d_inp[rows] = np.add.reduceat((grad_scores @ out)[order], starts, axis=0)
     d_out = grad_scores.T @ inp[centers]
     return loss, d_inp, d_out
 
 
-def _sgns_terms(inp, out, centers, contexts, negatives):
-    """Summed negative-sampling loss and its per-pair gradients.
+def _group(idx):
+    """Group the entries of a 1-D index array by value.
 
-    Returns (loss, rows, g_centers, g_rows): rows is the (m, k+1) matrix
-    of output rows each pair touches (context first, then negatives);
-    g_centers (m, d) and g_rows (m, k+1, d) are the loss gradients w.r.t.
-    inp[centers] and out[rows], neither scattered nor divided by m.
+    Returns (keys, inverse, order, starts): keys are the distinct values in
+    ascending order and keys[inverse] == idx; idx[order] lists the entries
+    group by group, each in its original order, group g from starts[g].
     """
-    k = negatives.shape[1]
-    rows = np.concatenate([contexts[:, None], negatives], axis=1)
+    # Sorting value * len + position is a stable argsort, and several times
+    # faster than argsort(kind="stable") on int64.
+    n = len(idx)
+    packed = np.sort(idx.astype(np.int64) * n + np.arange(n))
+    sorted_idx, order = np.divmod(packed, n)
+    first = np.ones(n, dtype=bool)
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return sorted_idx[starts], inverse, order, starts
+
+
+def _sgns_batch(inp, out, centers, contexts, negatives):
+    """Summed negative-sampling loss of a batch and its gradients on the
+    distinct rows the batch touches.
+
+    Returns (loss, input_side, output_side). Each side is (rows, block,
+    grads, hits): the distinct rows of that matrix the batch touches
+    (centers for inp; contexts and negatives for out), their vectors, the
+    loss gradient w.r.t. them, not divided by the number of pairs, and how
+    often the batch touches each row.
+
+    The output-row gradient is one product A @ inp[C], where A[r, c] sums
+    d loss / d score over the pairs with center c and output row r, so it
+    reduces over the |C| distinct centers alone. The center gradient sums
+    per-pair terms in segments of equal center. Neither sum depends on how
+    many threads BLAS runs.
+    """
+    m, k = negatives.shape
+    centers_c, ci, c_order, c_starts = _group(centers)
+    rows_r, ri, _, r_starts = _group(
+        np.concatenate([contexts[:, None], negatives], axis=1).ravel())
+    ri = ri.reshape(m, k + 1)          # context first, then negatives
+    w_in = inp[centers_c]
+    w_out = out[rows_r]
+    pair_out = w_out[ri]               # (m, k+1, d)
     sign = np.full(k + 1, -1.0)
     sign[0] = 1.0
-    w_in = inp[centers]
-    w_out = out[rows]
-    sig = _sigmoid(sign * (w_out @ w_in[:, :, None])[:, :, 0])
+    sig = _sigmoid(sign * (pair_out @ w_in[ci][:, :, None])[:, :, 0])
     loss = float(-np.log(np.clip(sig, 1e-300, None)).sum())
-    coeff = -sign * (1.0 - sig)                # d loss / d score
-    g_centers = (coeff[:, None, :] @ w_out)[:, 0]
-    g_rows = np.einsum("mk,md->mkd", coeff, w_in)
-    return loss, rows, g_centers, g_rows
+    coeff = -sign * (1.0 - sig)        # d loss / d score
+    nc, nr = len(centers_c), len(rows_r)
+    a = np.bincount((ri * nc + ci[:, None]).ravel(), coeff.ravel(), nr * nc)
+    g_out = a.reshape(nr, nc) @ w_in
+    g_in = np.add.reduceat((coeff[:, None, :] @ pair_out)[c_order, 0], c_starts, axis=0)
+    return (loss,
+            (centers_c, w_in, g_in, np.diff(c_starts, append=m)),
+            (rows_r, w_out, g_out, np.diff(r_starts, append=m * (k + 1))))
 
 
 def sgns_loss_grads(inp, out, centers, contexts, negatives):
@@ -164,34 +207,17 @@ def sgns_loss_grads(inp, out, centers, contexts, negatives):
     -log sigmoid(s_pos) - sum_j log sigmoid(-s_neg_j).
     """
     m = len(centers)
-    loss, rows, g_centers, g_rows = _sgns_terms(inp, out, centers, contexts, negatives)
-    d_inp = np.zeros_like(inp)
-    _scatter_add(d_inp, centers, g_centers, 1.0 / m)
-    d_out = np.zeros_like(out)
-    _scatter_add(d_out, rows.ravel(), g_rows.reshape(-1, out.shape[1]), 1.0 / m)
-    return loss / m, d_inp, d_out
+    loss, *sides = _sgns_batch(inp, out, centers, contexts, negatives)
+    grads = []
+    for mat, (rows, _, grad, _) in zip((inp, out), sides):
+        d = np.zeros_like(mat)
+        d[rows] = grad / m
+        grads.append(d)
+    return loss / m, *grads
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _scatter_add(mat, idx, vals, scale=1.0, max_hits=None):
-    """mat[idx] += scale * vals, summing the vals of repeated indices.
-
-    Same result as np.add.at up to summation order; one stable sort and
-    np.add.reduceat over the runs is several times faster. With max_hits,
-    a row repeated h > max_hits times takes max_hits / h of its sum.
-    """
-    order = np.argsort(idx, kind="stable")
-    idx = idx[order]
-    bounds = np.flatnonzero(np.concatenate([[True], idx[1:] != idx[:-1], [True]]))
-    starts = bounds[:-1]
-    sums = np.add.reduceat(vals[order], starts, axis=0)
-    sums *= scale
-    if max_hits is not None:
-        sums *= np.minimum(1.0, max_hits / (bounds[1:] - starts))[:, None]
-    mat[idx[starts]] += sums
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +233,20 @@ def _noise_cdf(freq: np.ndarray) -> np.ndarray:
     if cdf[-1] <= 0:
         raise ConfigError("corpus has no usable nodes for negative sampling")
     return cdf / cdf[-1]  # ends at exactly 1.0, so every draw in [0, 1) lands on a node
+
+
+def _draw(noise_cdf, unif):
+    """The node each uniform falls on: np.searchsorted(noise_cdf, unif).
+
+    The uniforms are searched in ascending order, which keeps successive
+    binary searches on the same cache lines (about twice as fast on a
+    100k-node table); each uniform still maps to the same node.
+    """
+    flat = unif.ravel()
+    order = np.argsort(flat)
+    nodes = np.empty(len(flat), dtype=np.intp)
+    nodes[order] = np.searchsorted(noise_cdf, flat[order])
+    return nodes.reshape(unif.shape)
 
 
 def _init_matrices(num_nodes, dim, rng):
@@ -245,10 +285,12 @@ def _minibatch_sgd(inp, out, pairs, cfg: SkipGramConfig, noise_cdf, rng):
             lr = cfg.learning_rate * max(1e-4, 1.0 - t / total)
             t += len(centers)
             if cfg.negatives:
-                negs = np.searchsorted(noise_cdf, rng.random((len(centers), cfg.negatives)))
-                _, rows, g_centers, g_rows = _sgns_terms(inp, out, centers, contexts, negs)
-                _scatter_add(inp, centers, g_centers, -lr, _ROW_HITS)
-                _scatter_add(out, rows.ravel(), g_rows.reshape(-1, out.shape[1]), -lr, _ROW_HITS)
+                negs = _draw(noise_cdf, rng.random((len(centers), cfg.negatives)))
+                _, *sides = _sgns_batch(inp, out, centers, contexts, negs)
+                for mat, (rows, block, grad, hits) in zip((inp, out), sides):
+                    grad *= (lr * np.minimum(1.0, _ROW_HITS / hits))[:, None]
+                    block -= grad
+                    mat[rows] = block
             else:
                 _, d_inp, d_out = softmax_loss_grads(inp, out, centers, contexts)
                 inp -= lr * len(centers) * d_inp
@@ -259,8 +301,10 @@ def train(corpus: WalkCorpus, cfg: SkipGramConfig,
           names: list | None = None) -> EmbeddingMatrix:
     """Train embeddings from scratch on the corpus.
 
-    Every graph node gets a row (walk origins cover all nodes); nodes below
-    min_count or trapped in length-1 walks simply receive no updates.
+    Every graph node gets a row (walk origins cover all nodes). Nodes below
+    min_count receive no updates: they are neither centers, contexts nor
+    negatives. A node seen only in length-1 walks is never a center, so its
+    input row keeps its initial value.
     """
     if not len(corpus):
         raise ValueError("corpus has no walks")
@@ -290,7 +334,11 @@ def _run_training(inp, out, corpus, cfg):
     pairs = context_pairs(corpus, cfg.window, cfg.min_count)
     if not len(pairs):
         return
-    noise_cdf = _noise_cdf(_node_frequencies(corpus)) if cfg.negatives else None
+    noise_cdf = None
+    if cfg.negatives:
+        freq = _node_frequencies(corpus)
+        freq[freq < cfg.min_count] = 0  # nodes dropped from the pairs are no negatives either
+        noise_cdf = _noise_cdf(freq)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
     _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, rng)
 

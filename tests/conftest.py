@@ -74,3 +74,26 @@ def write_corpus(path, header, rows):
     head = header if isinstance(header, bytes) else header.encode()
     with open(path, "wb") as fh:
         fh.write(head + b"\n" + np.asarray(rows, dtype="<i4").tobytes())
+
+
+def sgns_step_oracle(inp, out, pairs, negatives, lr, row_hits):
+    """One trainer batch of negative sampling, written as a plain loop over
+    the pairs: the matrices after one summed step of lr times the loss
+    gradients, all taken at the given matrices, where a row touched
+    h > row_hits times in the batch takes row_hits / h of its sum."""
+    g_in, g_out = np.zeros_like(inp), np.zeros_like(out)
+    hits_in, hits_out = np.zeros(len(inp)), np.zeros(len(out))
+    for (c, ctx), negs in zip(pairs, negatives):
+        hits_in[c] += 1
+        for row, label in [(ctx, 1.0)] + [(r, 0.0) for r in negs]:
+            score = float(inp[c] @ out[row])
+            coeff = 1.0 / (1.0 + np.exp(-score)) - label  # d loss / d score
+            g_in[c] += coeff * out[row]
+            g_out[row] += coeff * inp[c]
+            hits_out[row] += 1
+    new_in, new_out = inp.copy(), out.copy()
+    for new, grad, hits in ((new_in, g_in, hits_in), (new_out, g_out, hits_out)):
+        for row, h in enumerate(hits):
+            if h:
+                new[row] -= lr * min(1.0, row_hits / h) * grad[row]
+    return new_in, new_out

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.cluster.vq import kmeans2
 
 from walkforge import (
@@ -29,7 +34,7 @@ from walkforge.embedding import (
 )
 from walkforge.synth import preferential_attachment_stream, sbm_stream
 from walkforge.walks import WalkCorpus
-from conftest import pad_walks, rows_from_edges
+from conftest import pad_walks, rows_from_edges, sgns_step_oracle
 
 
 def corpus_of(walks, num_nodes, l=7):
@@ -209,16 +214,64 @@ def test_trainer_step_is_sgns_gradient_step():
     assert np.allclose(out, want_out, rtol=0, atol=1e-12)
 
 
-def test_trainer_step_caps_row_hits():
+@pytest.mark.parametrize("side", [0, 1], ids=["input", "output"])
+def test_trainer_step_caps_row_hits(side):
     inp, out, pairs = one_batch_problem(9)
-    pairs[:, 0] = 0  # input row 0 is hit 12 times, above the cap
+    pairs[:, side] = 0  # row 0 of that side is hit 12+ times, above the cap
     cfg = SkipGramConfig(dim=4, learning_rate=0.1, epochs=1, negatives=3)
     noise_cdf = _noise_cdf(np.arange(1, 21))
     negatives = np.searchsorted(noise_cdf, np.random.default_rng(6).random((12, 3)))
-    _, d_inp, _ = sgns_loss_grads(inp, out, pairs[:, 0], pairs[:, 1], negatives)
-    want = inp - 0.1 * 12 * d_inp * (_ROW_HITS / 12)
+    hits = (np.bincount(pairs[:, 0], minlength=20),
+            np.bincount(np.concatenate([pairs[:, 1], negatives.ravel()]), minlength=20))
+    assert hits[side][0] >= 12 > _ROW_HITS
+    _, *grads = sgns_loss_grads(inp, out, pairs[:, 0], pairs[:, 1], negatives)
+    want = [mat - 0.1 * 12 * grad * np.minimum(1.0, _ROW_HITS / np.maximum(h, 1))[:, None]
+            for mat, grad, h in zip((inp, out), grads, hits)]
     _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, np.random.default_rng(6))
-    assert np.allclose(inp, want, rtol=0, atol=1e-12)
+    assert np.allclose(inp, want[0], rtol=0, atol=1e-12)
+    assert np.allclose(out, want[1], rtol=0, atol=1e-12)
+
+
+def trainer_batch_against_oracle(pairs, noise_freq, negatives, seed):
+    """Run one trainer batch over len(noise_freq) <= 16 nodes (a single
+    batch, since the batch is >= 16 pairs), compare it with the per-pair
+    loop oracle, and return the negatives the trainer drew."""
+    n = len(noise_freq)
+    rng = np.random.default_rng(seed)
+    inp = rng.normal(scale=0.5, size=(n, 3))
+    out = rng.normal(scale=0.5, size=(n, 3))
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    cfg = SkipGramConfig(dim=3, learning_rate=0.2, epochs=1, negatives=negatives)
+    noise_cdf = _noise_cdf(np.array(noise_freq))
+    drawn = np.searchsorted(noise_cdf, np.random.default_rng(seed).random((len(pairs), negatives)))
+    want_inp, want_out = sgns_step_oracle(inp, out, pairs, drawn, 0.2, _ROW_HITS)
+    _minibatch_sgd(inp, out, pairs, cfg, noise_cdf, np.random.default_rng(seed))
+    assert np.allclose(inp, want_inp, rtol=0, atol=1e-12)
+    assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+    return drawn
+
+
+@given(st.data())
+def test_trainer_step_matches_per_pair_oracle(data):
+    n = data.draw(st.integers(2, 16))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=16))
+    noise_freq = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)
+                           .filter(any))
+    trainer_batch_against_oracle(pairs, noise_freq, data.draw(st.integers(1, 6)),
+                                 data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_trainer_step_matches_per_pair_oracle_on_hubs():
+    # all noise mass on node 3: every negative is 3, so output row 3 takes
+    # 16 * 4 + 6 hits; center 0 takes 12; node 3 is also a center
+    pairs = [(0, 1)] * 6 + [(0, 3)] * 6 + [(3, 2), (1, 0), (1, 2), (2, 1)]
+    drawn = trainer_batch_against_oracle(pairs, [0, 0, 0, 7, 0], 4, 11)
+    pairs = np.array(pairs)
+    assert np.bincount(pairs[:, 0]).max() > _ROW_HITS  # input-side hub
+    assert np.bincount(drawn.ravel()).max() > _ROW_HITS  # output-side hub
+    assert (drawn == pairs[:, 1:]).any()  # a negative equal to its context
+    assert set(pairs[:, 0]) & set(pairs[:, 1])  # a center id that is also a row id
 
 
 def test_trainer_step_is_softmax_gradient_step():
@@ -435,3 +488,46 @@ def test_min_count_drops_rare_nodes_from_pairs():
     used = set(pairs.ravel().tolist())
     assert 3 not in used  # appears once, below min_count
     assert {0, 1} <= used
+
+
+def test_min_count_dropped_nodes_receive_no_updates():
+    g = ingest_edges(preferential_attachment_stream(200, seed=1))
+    corpus = generate_corpus(g, WalkConfig(num_walks=1, walk_length=10, seed=1), "uniform")
+    dropped = np.bincount(corpus.flat_tokens()[0], minlength=corpus.num_nodes) < 3
+    assert dropped.sum() >= 50
+    before = train(corpus, SkipGramConfig(min_count=3, epochs=0))
+    after = train(corpus, SkipGramConfig(min_count=3))
+    for b, a in ((before.input_vectors, after.input_vectors),
+                 (before.output_vectors, after.output_vectors)):
+        assert np.array_equal(a[dropped], b[dropped])  # not even drawn as negatives
+        assert not np.array_equal(a[~dropped], b[~dropped])
+
+
+BLAS_THREADS_TRAINING = """
+import hashlib
+import numpy as np
+from walkforge import SkipGramConfig, WalkConfig, context_pairs, generate_corpus, ingest_edges
+from walkforge.embedding import _init_matrices, _minibatch_sgd, _node_frequencies, _noise_cdf
+from walkforge.synth import gnm_digraph_stream
+g = ingest_edges(gnm_digraph_stream(8000, 32000, seed=4))
+corpus = generate_corpus(g, WalkConfig(num_walks=1, walk_length=10, seed=4), "uniform")
+pairs = context_pairs(corpus, 5)[:30 * 1024]
+inp, out = _init_matrices(corpus.num_nodes, 64, np.random.default_rng(4))
+_minibatch_sgd(inp, out, pairs, SkipGramConfig(), _noise_cdf(_node_frequencies(corpus)),
+               np.random.default_rng(5))
+print(hashlib.sha256(inp.tobytes() + out.tobytes()).hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    """An 8,000-node vocabulary gives 1,024-pair batches whose products BLAS
+    splits across threads; each sum must still reduce in one order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_TRAINING], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
