@@ -275,6 +275,7 @@ def cmd_update(args) -> int:
         "candidate_draws": counter.draws,
         "frontier_overflows": counter.overflows,
         "fallback_exhausted": counter.exhausted,
+        "leap_rows_built": counter.rows_built,
         "corpus_walks": len(updated),
         "wall_time_s": time.perf_counter() - t0,
     }

@@ -231,25 +231,6 @@ class TransactionGraph:
                         return None, frozenset(seen.difference(frontier))
         return tuple(sorted(frontier)), None
 
-    def upstream_hops(self, u: int, h: int) -> dict:
-        """{x: directed hop distance from x to u} for every node x != u
-        that reaches u within h hops, from one BFS over in_csr()."""
-        self._check(u)
-        csr = self.in_csr()
-        indptr, indices = csr.indptr, csr.indices
-        hops = {u: 0}
-        level = [u]
-        for d in range(1, h + 1):
-            nxt = []
-            for x in level:
-                for y in indices[indptr[x]:indptr[x + 1]].tolist():
-                    if y not in hops:
-                        hops[y] = d
-                        nxt.append(y)
-            level = nxt
-        del hops[u]
-        return hops
-
     def shortest_hop(self, u: int, v: int, cap: int) -> int | None:
         """Directed hop distance from u to v if <= cap, else None."""
         self._check(u)

@@ -48,17 +48,20 @@ from .walks import (
 @dataclass
 class DrawCounter:
     """Accumulates candidate draws, the work measure for update-vs-scratch,
-    and the leap steps that took the approximate frontier-overflow guard
-    path (`overflows`) or ran out of its retries (`exhausted`)."""
+    the leap steps that took the approximate frontier-overflow guard path
+    (`overflows`) or ran out of its retries (`exhausted`), and the leap
+    rows built (`rows_built`)."""
 
     draws: int = 0
     overflows: int = 0
     exhausted: int = 0
+    rows_built: int = 0
 
     def add(self, sampler):
         self.draws += sampler.draws
         self.overflows += sampler.overflows
         self.exhausted += sampler.exhausted
+        self.rows_built += sampler.rows_built
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,12 +24,15 @@ s writes token s + 1 of every live walk, and each mode supplies only a
 vectorised step from the current nodes to the next ones. The leap
 sampler builds a row for each node its walks reach, once per graph
 version: the node's sorted capped frontier and, per slot, the acceptance
-threshold min(1, R) + alpha_min, whose return distances all come from
-one upstream BFS. A leap step is then a gather of the slot and one
-comparison; a rejected leap writes its node again, and that repeat is
-dropped when the block ends. A node whose frontier overflows the cap has
-no row; walks there take the guard path inside the same step, which is
-approximate and counted.
+threshold min(1, R) + alpha_min. At each step it builds the rows of all
+the step's nodes that have none yet at once, by a breadth-first search
+from all of them together over (source, node) key arrays: one over the
+out-edges gives every frontier, one over the in-edges every return
+distance. A leap step is then a gather of the slot and one comparison; a
+rejected leap writes its node again, and that repeat is dropped when the
+block ends. A node whose frontier overflows the cap has no row; walks
+there take the guard path inside the same step, which is approximate and
+counted.
 
 A sampler speaks token rows only: `walks(ids, rows, start)` returns the
 int32 rows it stepped, and resumes walks from given rows. A corpus (and
@@ -51,7 +54,7 @@ import copy
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -69,6 +72,10 @@ _HEADER_MAX = 256  # bytes in a corpus file's header line, newline included
 _FALLBACK_TRIES = 16
 # walks generated per lockstep block; bounds the walkers' scratch arrays
 _BLOCK = 8192
+# (source, node) keys one BFS level of a leap-row build gathers at once;
+# bounds the builder's scratch arrays. A source whose own level is larger
+# is expanded alone: at most one key per edge.
+_KEYS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -179,15 +186,92 @@ def mh_acceptance(g: TransactionGraph, curr: int, v: int, cfg: WalkConfig) -> fl
 
 
 # ---------------------------------------------------------------------------
+# Multi-source BFS over (source, node) keys
+# ---------------------------------------------------------------------------
+
+def _distinct(keys) -> np.ndarray:
+    """The keys sorted, each once: a sort and a neighbour compare (a bare
+    np.unique would import numpy.ma)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _member(keys, table) -> np.ndarray:
+    """Which keys occur in the sorted array `table`."""
+    at = np.searchsorted(table, keys)
+    hit = at < len(table)
+    hit[hit] = table[at[hit]] == keys[hit]
+    return hit
+
+
+def _by_source(levels, seeds, n) -> list:
+    """Per key k * n + u of the sorted `seeds`, the nodes of source k in
+    each of the sorted key arrays `levels`, as lists."""
+    ks = seeds // n
+    out = [[] for _ in ks.tolist()]
+    for keys in levels:
+        keys = keys[_member(keys // n, ks)]
+        nodes = (keys % n).tolist()
+        at = np.searchsorted(keys, ks * n).tolist() + [len(nodes)]
+        for parts, lo, hi in zip(out, at, at[1:]):
+            parts.append(nodes[lo:hi])
+    return out
+
+
+def _levels(csr, n, seeds, depth):
+    """Breadth-first search from many sources at once over one direction
+    of the adjacency, level by level (Then et al., *The More the Merrier*,
+    PVLDB 8(4), 2014). Source k at node u is the key k * n + u of the
+    sorted `seeds`; a level's keys are k * n + x for the nodes x at
+    distance exactly d from source k. Yields, per chunk of consecutive
+    sources, the depth + 1 levels as sorted key arrays.
+
+    A level gathers the CSR rows of the previous one with np.repeat plus
+    offsets, drops repeats with a sort and the keys of earlier levels with
+    searchsorted. A chunk whose next level would gather more than _KEYS
+    keys is split in two at a source boundary; its sorted levels split by
+    searchsorted."""
+    indptr, indices = csr.indptr, csr.indices
+    chunks = [[seeds]] if len(seeds) else []
+    while chunks:
+        levels = chunks.pop()
+        while len(levels) <= depth:
+            level = levels[-1]
+            x = level % n
+            lo = indptr[x]
+            deg = indptr[x + 1] - lo
+            ends = np.cumsum(deg)
+            total = int(ends[-1]) if len(ends) else 0
+            if total > _KEYS and level[0] // n != level[-1] // n:
+                k = level[np.searchsorted(ends, total // 2)] // n
+                cut = max(k, level[0] // n + 1) * n
+                at = [np.searchsorted(a, cut) for a in levels]
+                chunks += [[a[i:] for a, i in zip(levels, at)],
+                           [a[:i] for a, i in zip(levels, at)]]
+                break
+            keys = np.repeat(level - x, deg) + indices[
+                np.repeat(lo - ends + deg, deg) + np.arange(total)]
+            keys = _distinct(keys)
+            for seen in levels:
+                keys = keys[~_member(keys, seen)]
+            levels.append(keys)
+        else:
+            yield levels
+
+
+# ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
 
 class _Sampler:
     """Shared state of both walk modes and their one lockstep loop: the
-    graph version walked, the config, the candidate draws made, and the
-    leap steps that took the frontier-overflow guard path or exhausted its
-    retries. A mode supplies `step` and the number of keyed uniforms it
-    draws per walk and step (`draws_per_step`)."""
+    graph version walked, the config, the candidate draws made, the leap
+    steps that took the frontier-overflow guard path or exhausted its
+    retries, and the leap rows built. A mode supplies `step` and the
+    number of keyed uniforms it draws per walk and step
+    (`draws_per_step`)."""
 
     draws_per_step = 1
 
@@ -197,6 +281,7 @@ class _Sampler:
         self.draws = 0
         self.overflows = 0
         self.exhausted = 0
+        self.rows_built = 0
 
     def walks(self, walk_ids, rows=None, start=None) -> np.ndarray:
         """The walks with these corpus indices as int32 rows padded with -1.
@@ -266,11 +351,14 @@ class UniformSampler(_Sampler):
 
 
 class LeapSampler(_Sampler):
-    """MH leap walker over per-node rows built lazily for this version.
+    """MH leap walker over per-node rows of this version, built when a
+    step first reaches their nodes.
 
     The row of node u holds its sorted capped frontier and, per slot v,
-    the threshold min(1, R(u, v)) + alpha_min; all return distances of a
-    row come from one upstream BFS from u. Step s of a walk at u picks slot
+    the threshold min(1, R(u, v)) + alpha_min. `_build` makes the rows of
+    all of a step's new nodes in one multi-source BFS (`_levels`) over the
+    out-edges, and takes their return distances from one over the
+    in-edges; `rows_built` counts them. Step s of a walk at u picks slot
     floor(U(w, 2s) * |row|) and leaps there when U(w, 2s + 1) is below its
     threshold. A walk at a node whose frontier overflows the cap takes the
     guard path instead; those steps are counted in `overflows`, and the
@@ -310,30 +398,47 @@ class LeapSampler(_Sampler):
         return np.minimum(ratio, 1.0) + cfg.alpha_min
 
     def _build(self, nodes):
-        """Build the rows of the nodes that have none yet."""
-        new = sorted(set(nodes[self._size[nodes] == -2].tolist()))
-        if not new:
+        """Build the rows of the nodes that have none yet, all at once and
+        in ascending node order: one multi-source BFS over the out-edges
+        gives every frontier, and one over the in-edges every return
+        distance and each overflow node's guard entry."""
+        new = _distinct(nodes[self._size[nodes] == -2].astype(np.intp))
+        if not len(new):
             return
-        g, h = self.g, self.cfg.hop
-        curr, slots, back = [], [], []
-        for u in new:
-            frontier, ball = g.capped_frontier(u, h, self._cap)
-            if frontier is None:
-                self._size[u] = -1
-                self._guards[u] = (ball, g.upstream_hops(u, h))
-                continue
-            self._size[u] = len(frontier)
-            if frontier:
-                self._start[u] = len(self._fr) + len(slots)
-                hops = g.upstream_hops(u, h)
-                curr += [u] * len(frontier)
-                slots += frontier
-                back += [hops.get(v, 0) for v in frontier]
-        slots = np.array(slots, dtype=np.intp)
-        th = self._thresholds(np.array(curr, dtype=np.intp), slots,
-                              np.array(back, dtype=np.intp))
-        self._fr = np.concatenate([self._fr, slots])
-        self._th = np.concatenate([self._th, th])
+        self.rows_built += len(new)
+        g, h, n = self.g, self.cfg.hop, self.g.num_nodes
+        fr, th, end = [self._fr], [self._th], len(self._fr)
+        for levels in _levels(g.out_csr(), n, np.arange(len(new)) * n + new, h):
+            src = levels[0]  # k * n + new[k] for the chunk's sources k
+            k0, u = src[0] // n, src % n
+            front = levels[h]
+            size = np.bincount(front // n - k0, minlength=len(src))
+            over = size > self._cap
+            self._size[u] = np.where(over, -1, size)
+            if over.any():
+                front = front[~over[front // n - k0]]
+                size[over] = 0
+                for w, ball in zip(u[over].tolist(), _by_source(levels[:h], src[over], n)):
+                    self._guards[w] = (frozenset(chain.from_iterable(ball)), {})
+            full = size > 0
+            self._start[u[full]] = (end + np.cumsum(size) - size)[full]
+            end += len(front)
+            # return distance of each frontier slot: its node's level in
+            # the upstream BFS from the row's node, 0 beyond h
+            back = np.zeros(len(front), dtype=np.intp)
+            for up in _levels(g.in_csr(), n, src[full | over], h):
+                lo, hi = np.searchsorted(front, [up[0][0] // n * n, (up[0][-1] // n + 1) * n])
+                for d in range(1, h + 1):
+                    back[lo:hi][_member(front[lo:hi], up[d])] = d
+                if over.any():
+                    for w, hops in zip(u[over].tolist(), _by_source(up[1:], src[over], n)):
+                        for d, nodes in enumerate(hops, 1):
+                            self._guards[w][1].update(dict.fromkeys(nodes, d))
+            v = front % n
+            fr.append(v)
+            th.append(self._thresholds(new[front // n], v, back))
+        self._fr = np.concatenate(fr)
+        self._th = np.concatenate(th)
 
     def _draw_beyond_ball(self, curr: int, ball, u_prop: float) -> int | None:
         """Guard path for oversized frontiers: random h-step forward

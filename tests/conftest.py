@@ -49,6 +49,25 @@ def uniform_walk(g, u, l, rng):
     return tuple(walk)
 
 
+def upstream_hops(g, u, h):
+    """{x: directed hop distance from x to u} for every node x != u that
+    reaches u within h hops, from one BFS over g.in_csr()."""
+    g._check(u)
+    csr = g.in_csr()
+    hops = {u: 0}
+    level = [u]
+    for d in range(1, h + 1):
+        nxt = []
+        for x in level:
+            for y in csr.indices[csr.indptr[x]:csr.indptr[x + 1]].tolist():
+                if y not in hops:
+                    hops[y] = d
+                    nxt.append(y)
+        level = nxt
+    del hops[u]
+    return hops
+
+
 def resumed(sampler, prefixes, walk_ids):
     """The walks `sampler` resumes from these prefixes, with the draws of
     these walk ids, in one call over token rows, as tuples."""

@@ -26,7 +26,7 @@ from walkforge import (
 )
 from walkforge.graph import STAT_KINDS, _coerce_record
 from walkforge.synth import preferential_attachment_stream
-from conftest import random_rows, rows_from_edges
+from conftest import random_rows, rows_from_edges, upstream_hops
 
 
 def to_nx(g):
@@ -392,7 +392,7 @@ def test_in_csr_matches_transposed_edges(base, batches):
             sorted((e.dst, e.src) for e in g.edges())
         for u in g.nodes():
             for h in (1, 2, 3):
-                assert g.upstream_hops(u, h) == {
+                assert upstream_hops(g, u, h) == {
                     x: d for x in g.nodes()
                     if x != u and (d := g.shortest_hop(x, u, cap=h)) is not None}
 

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from walkforge import (
@@ -25,8 +26,10 @@ from walkforge import (
 from walkforge.graph import STAT_KINDS
 from walkforge.incremental import DrawCounter
 from walkforge.synth import sbm_stream
+from walkforge import walks
 from walkforge.walks import LeapSampler, build_node_index, keyed_uniforms, make_sampler
-from conftest import random_rows, resumed, rows_from_edges, uniform_walk, write_corpus
+from conftest import (random_rows, resumed, rows_from_edges, uniform_walk, upstream_hops,
+                      write_corpus)
 
 
 def rng_(seed=0):
@@ -280,18 +283,69 @@ def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat
     assert tokens.dtype == np.int32
     assert tokens.tolist() == [list(w) + [-1] * (tokens.shape[1] - len(w)) for w in expected]
     assert (sampler.draws, sampler.overflows, sampler.exhausted) == counts
-    # every row built holds the capped frontier and, slot by slot, the
-    # oracle's acceptance plus alpha_min; an overflow node has size -1
-    for u in np.flatnonzero(sampler._size > -2).tolist():
-        frontier, _ = g.capped_frontier(u, hop, sampler._cap)
-        size = sampler._size[u]
+
+
+def leap_rows(sampler, calls):
+    """Build rows over these calls; the sampler's row arrays and guards."""
+    for nodes in calls:
+        sampler._build(np.array(nodes, dtype=np.int32))
+    return ([a.tobytes() for a in (sampler._size, sampler._start, sampler._fr, sampler._th)],
+            sampler._guards)
+
+
+@settings(max_examples=60)
+@given(edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                st.floats(0.1, 5.0)), min_size=1, max_size=40),
+       mirror=st.booleans(), hop=st.integers(1, 3), cap=st.sampled_from([None, 1, 4]),
+       proposal=st.sampled_from("SE"), stat=st.sampled_from(STAT_KINDS),
+       calls=st.lists(st.lists(st.integers(0, 9), max_size=10), max_size=4))
+def test_leap_rows_equal_per_node_oracles(edges, mirror, hop, cap, proposal, stat,
+                                          calls):
+    """Rows built in batches of nodes (with repeats and nodes already
+    built) hold, slot for slot, each node's capped frontier and the
+    oracle's acceptance plus alpha_min. An overflow node's guard entry holds
+    the ball closer than hop and the upstream hop distances. With one
+    source per chunk of the multi-source BFS, every array is the same.
+    `mirror` adds every edge's reverse, so that return paths are common."""
+    if mirror:
+        edges = edges + [(v, u, w) for u, v, w in edges]
+    g = ingest_edges(rows_from_edges(edges))
+    cfg = WalkConfig(hop=hop, alpha_min=0.3, target_stat=stat, proposal=proposal,
+                     frontier_cap=cap)
+    calls = [[u % g.num_nodes for u in nodes] for nodes in calls] + [list(g.nodes())]
+    sampler = LeapSampler(g, cfg)
+    rows, guards = leap_rows(sampler, calls)
+    assert sampler.rows_built == g.num_nodes
+    for u in g.nodes():
+        frontier, ball = g.capped_frontier(u, hop, sampler._cap)
+        size, lo = sampler._size[u], sampler._start[u]
         if frontier is None:
-            assert size == -1
+            assert size == -1 and lo == 0
+            assert guards[u] == (ball, upstream_hops(g, u, hop))
             continue
-        lo = sampler._start[u]
+        assert size == len(frontier) and u not in guards
+        assert lo == 0 if size == 0 else lo > 0
         assert sampler._fr[lo:lo + size].tolist() == list(frontier)
         assert sampler._th[lo:lo + size].tolist() == [
             mh_acceptance(g, u, v, cfg) + cfg.alpha_min for v in frontier]
+    assert len(sampler._fr) == 1 + sampler._size.clip(0).sum()
+    with mock.patch.object(walks, "_KEYS", 1):
+        assert leap_rows(LeapSampler(g, cfg), calls) == (rows, guards)
+
+
+def test_leap_rows_built_are_counted():
+    g = ingest_edges(random_rows(40, 120, seed=2))
+    cfg = WalkConfig(num_walks=2, walk_length=6, hop=2, seed=1)
+    for mode in ("uniform", "mh"):
+        sampler = make_sampler(g, cfg, mode)
+        for _ in range(2):  # a second pass over the same walks builds nothing
+            sampler.walks(range(g.num_nodes * cfg.num_walks))
+            counter = DrawCounter()
+            counter.add(sampler)
+            counter.add(sampler)
+            built = 0 if mode == "uniform" else np.count_nonzero(sampler._size != -2)
+            assert counter.rows_built == 2 * sampler.rows_built == 2 * built
+    assert 0 < sampler.rows_built <= g.num_nodes
 
 
 def test_overflow_and_exhausted_steps_are_counted():
