@@ -1,14 +1,17 @@
-"""Exception types shared across the package, and `open_text`, the one
-way input text files (CSV, graph dump, embeddings, labels) are opened. A
-walk corpus is binary after its header line, which `load_corpus` decodes
-itself.
+"""Exception types shared across the package; `open_text`, the one way
+input text files (CSV, embeddings, labels) are opened; and `read_header`,
+which reads the header line of the two binary files, the graph dump and
+the walk corpus.
 
 Two broad families matter for the CLI exit-code mapping: bad input or
 configuration (exit 2) and state/mode mismatches between artifacts
 (exit 3). Anything else is an internal error (exit 1).
 """
 
+import os
 from contextlib import contextmanager
+
+_HEADER_MAX = 256  # bytes in a binary file's header line, newline included
 
 
 class WalkforgeError(Exception):
@@ -69,3 +72,23 @@ def _not_utf8(path) -> ParseError:
             except UnicodeDecodeError:
                 break
     return ParseError(f"{path}:{line_no}: not valid UTF-8")
+
+
+def read_header(fh, path, magic: str, fields: dict) -> tuple:
+    """The header line of the binary file open in `fh`: `magic`, then one
+    `key=value` word per entry of `fields`, a dict of key -> converter.
+    Returns the converted values in `fields` order and the number of bytes
+    after the line; a bad line raises ParseError naming `path:1`."""
+    head = fh.readline(_HEADER_MAX)
+    try:
+        parts = head.decode("utf-8").split()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}:1: not valid UTF-8") from None
+    if parts[:2] != magic.split() or len(parts) != 2 + len(fields) or head[-1:] != b"\n":
+        raise ParseError(f"{path}:1: not a {magic} file")
+    try:
+        kv = dict(p.split("=", 1) for p in parts[2:])
+        values = [convert(kv[key]) for key, convert in fields.items()]
+    except (KeyError, ValueError):
+        raise ParseError(f"{path}:1: malformed header {head!r}") from None
+    return values, os.fstat(fh.fileno()).st_size - len(head)

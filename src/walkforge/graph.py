@@ -16,21 +16,19 @@ marks. Per-node stats are derived from a version's edges when first read,
 so equal edges give equal stats however the version was built.
 
 Rows become columns once, at the entry point, and stay columns: CSV rows
-through `_columns`, dump lines through one `np.loadtxt` per run of edge
-lines, and `segment_schedule` slices one parse of all its rows. A delta
-carries its edges as columns too. Wherever a bulk parse rejects its input,
-an exact per-row path takes over, and that path alone names a bad row:
-`_coerce_record` for rows, and for a dump the conversion of each line as
-it is read.
+through `_columns`, and `segment_schedule` slices one parse of all its
+rows. A delta carries its edges as columns too, and a dump holds a
+version's columns as raw bytes. Wherever a bulk parse of rows rejects its
+input, the exact per-row `_coerce_record` takes over, and it alone names a
+bad row.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, groupby, islice
+from itertools import chain, compress, count
 from operator import itemgetter
 
 import numpy as np
@@ -42,11 +40,12 @@ from .errors import (
     StateMismatchError,
     UnknownNodeError,
     open_text,
+    read_header,
 )
 
 STAT_KINDS = ("V_in", "V_out", "F", "D_in", "D_out")
 
-GRAPH_MAGIC = "WALKFORGE-GRAPH v1"
+GRAPH_MAGIC = "WALKFORGE-GRAPH v2"
 
 @dataclass(frozen=True)
 class TxEdge:
@@ -585,101 +584,60 @@ def read_edge_csv(path) -> list:
     return rows
 
 
+# a dump's header fields, and its edge columns in file order
+_GRAPH_HEADER = {"nodes": int, "edges": int, "version": int,
+                 "maxts": lambda t: None if t == "none" else int(t), "address_bytes": int}
+_COLUMNS = ("<i8", "<i8", "<f8", "<i8", "<i8")  # src, dst, weight, ts, count
+
+
+def _address_block(addresses) -> bytes:
+    """The dump's address block: each address in UTF-8, then a newline."""
+    return "".join(a + "\n" for a in addresses).encode("utf-8")
+
+
 def save_graph(g: TransactionGraph, path):
-    """Write the versioned text dump; output is byte-deterministic."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{GRAPH_MAGIC} nodes={g.num_nodes} edges={g.num_edges}\n")
-        fh.write(f"version {g.version}\n")
-        max_ts = g.max_timestamp if g.max_timestamp is not None else "none"
-        fh.write(f"maxts {max_ts}\n")
-        fh.writelines(f"node {u} {a}\n" for u, a in enumerate(g._addresses))
-        fh.writelines(f"edge {s} {d} {w!r} {t} {c}\n" for s, d, w, t, c in zip(
-            _rows(g._indptr).tolist(), g._dst.tolist(), g._weight.tolist(),
-            g._ts.tolist(), g._count.tolist()))
-
-
-_CHUNK = 8192  # raw dump lines read at a time, to bound the strings held
-
-_EDGE_ROW = np.dtype([("s", np.int64), ("d", np.int64), ("w", np.float64),
-                      ("t", np.int64), ("c", np.int64)])
-
-
-def _bulk_edges(run, n: int):
-    """A run of `edge ` lines as one `_EDGE_ROW` array from one C parse, or
-    None when numpy rejects a line or a line names a node outside 0..n-1. numpy
-    accepts a subset of what int() and float() accept, with equal values,
-    once its deprecated parse of an integer field through a float (numpy
-    1.23 to 1.26: `1.5`, `.5`, `1e3` or `nan` as a timestamp or count)
-    counts as a rejection too."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(run, dtype=_EDGE_ROW, usecols=(1, 2, 3, 4, 5),
-                              comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-    s, d = rows["s"], rows["d"]
-    return rows if ((s >= 0) & (s < n) & (d >= 0) & (d < n)).all() else None
+    """The header line, the address block, then the edge columns in (src,
+    dst) order as little-endian int64/float64; output is byte-deterministic."""
+    block = _address_block(g._addresses)
+    max_ts = g.max_timestamp if g.max_timestamp is not None else "none"
+    with open(path, "wb") as fh:
+        fh.write(f"{GRAPH_MAGIC} nodes={g.num_nodes} edges={g.num_edges} version={g.version} "
+                 f"maxts={max_ts} address_bytes={len(block)}\n".encode("ascii"))
+        fh.write(block)
+        for column, dtype in zip((_rows(g._indptr), g._dst, g._weight, g._ts, g._count),
+                                 _COLUMNS):
+            fh.write(column.astype(dtype, copy=False).tobytes())
 
 
 def load_graph(path) -> TransactionGraph:
-    """Read a graph dump written by save_graph, `_CHUNK` lines at a time.
-    A run of lines that all start `edge ` is parsed by one `np.loadtxt`
-    call. Every other line is converted as it is read, which names the
-    first bad line as `path:line` and lets an edge name only nodes listed
-    above it."""
-    ids, version, max_ts = {}, 0, None
-    runs, rows = [], []  # bulk-parsed runs, with the converted lines between them
-    with open_text(path) as fh:
-        head = fh.readline().rstrip("\n")
-        parts = head.split()
-        if parts[:2] != GRAPH_MAGIC.split() or len(parts) != 4:
-            raise ParseError(f"{path}:1: not a {GRAPH_MAGIC} file")
-        try:
-            declared_nodes = int(parts[2].split("=", 1)[1])
-            declared_edges = int(parts[3].split("=", 1)[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"{path}:1: malformed header {head!r}") from None
-        line_no = 1
-        for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
-            for key, lines in groupby(chunk, itemgetter(slice(5))):
-                lines = list(lines)
-                bulk = _bulk_edges(lines, len(ids)) if key == "edge " else None
-                if bulk is not None:
-                    runs += [np.array(rows, dtype=_EDGE_ROW), bulk]
-                    rows = []
-                    line_no += len(lines)
-                    continue
-                for line_no, line in enumerate(lines, start=line_no + 1):
-                    fields = line.split()
-                    if not fields:
-                        continue
-                    tag = fields[0]
-                    try:
-                        if tag == "edge":
-                            s, d, t, c = (int(fields[i]) for i in (1, 2, 4, 5))
-                            if not (0 <= s < len(ids) and 0 <= d < len(ids)
-                                    and -2 ** 63 <= min(t, c) and max(t, c) < 2 ** 63):
-                                raise ValueError("a field is out of range")
-                            rows.append((s, d, float(fields[3]), t, c))
-                        elif tag == "version":
-                            version = int(fields[1])
-                        elif tag == "maxts":
-                            max_ts = None if fields[1] == "none" else int(fields[1])
-                        elif tag == "node":
-                            if ids.setdefault(fields[2], len(ids)) != int(fields[1]):
-                                raise ParseError(f"{path}:{line_no}: node ids out of order")
-                        else:
-                            raise ParseError(f"{path}:{line_no}: unknown tag {tag!r}")
-                    except (IndexError, ValueError):
-                        raise ParseError(f"{path}:{line_no}: malformed line {line!r}") from None
-    edges = np.concatenate([*runs, np.array(rows, dtype=_EDGE_ROW)])
+    """Size the payload by the header's counts before reading it, check the
+    address block and the node ids, then build the version from the edge
+    columns as `ingest_edges` would."""
+    with open(path, "rb") as fh:
+        (n, m, version, max_ts, b), size = read_header(fh, path, GRAPH_MAGIC, _GRAPH_HEADER)
+        if min(n, m, b) < 0 or size != b + 40 * m:
+            raise ParseError(f"{path}: {size} bytes after the header are not "
+                             f"address_bytes={b} plus edges={m} rows of 40 bytes")
+        block = fh.read(b)
+        src, dst, w, ts, c = (np.fromfile(fh, dtype=t, count=m) for t in _COLUMNS)
+    try:
+        addresses = block.decode("utf-8").split()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: the address block is not valid UTF-8") from None
+    ids = dict(zip(addresses, count()))
+    if not len(addresses) == len(ids) == n or _address_block(addresses) != block:
+        raise ParseError(f"{path}: the address block is not nodes={n} distinct "
+                         f"addresses, each without whitespace and ending a line")
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ParseError(f"{path}: edge {k}: ({src[k]}, {dst[k]}) names a node "
+                         f"outside 0..{n - 1}")
     # aggregated edges keep earliest timestamps, so the true high-water mark
-    # only survives through the maxts line
-    g = _grow(_empty(), list(ids), ids, edges["s"], edges["d"], edges["w"],
-              edges["t"], edges["c"], version, max_ts)[0]
-    if declared_nodes != g.num_nodes or declared_edges != g.num_edges:
+    # only survives through the header's maxts
+    g = _grow(_empty(), addresses, ids, src, dst, w, ts, c, version, max_ts)[0]
+    if (n, m) != (g.num_nodes, g.num_edges):
         raise ParseError(
-            f"{path}: header declares nodes={declared_nodes} edges={declared_edges} "
+            f"{path}: header declares nodes={n} edges={m} "
             f"but file has {g.num_nodes}/{g.num_edges}")
     return g

@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, read_header
 from .graph import STAT_KINDS, TransactionGraph
 
 MODE_UNIFORM = "uniform"
@@ -66,7 +65,6 @@ MODE_MH = "mh"
 MODES = (MODE_UNIFORM, MODE_MH)
 
 WALKS_MAGIC = "WALKFORGE-WALKS v2"
-_HEADER_MAX = 256  # bytes in a corpus file's header line, newline included
 
 # explosion-guard fallback: retries of random h-step expansion per draw
 _FALLBACK_TRIES = 16
@@ -669,26 +667,12 @@ def load_corpus(path) -> WalkCorpus:
     """Size the payload by the header's l before reading it, then validate
     the matrix with array checks that name the first bad walk."""
     with open(path, "rb") as fh:
-        head = fh.readline(_HEADER_MAX)
-        try:
-            parts = head.decode("utf-8").split()
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}:1: not valid UTF-8") from None
-        if parts[:2] != WALKS_MAGIC.split() or len(parts) != 6 or head[-1:] != b"\n":
-            raise ParseError(f"{path}:1: not a {WALKS_MAGIC} file")
-        try:
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            version = int(kv["graph_version"])
-            n = int(kv["n"])
-            l = int(kv["l"])
-            mode = kv["mode"]
-        except (KeyError, ValueError):
-            raise ParseError(f"{path}:1: malformed header {head!r}") from None
+        (version, n, l, mode), size = read_header(
+            fh, path, WALKS_MAGIC, {"graph_version": int, "n": int, "l": int, "mode": str})
         if mode not in MODES:
             raise ParseError(f"{path}:1: unknown mode {mode!r}")
         if n < 1 or l < 2:
             raise ParseError(f"{path}:1: need n >= 1 and l >= 2, got n={n} l={l}")
-        size = os.fstat(fh.fileno()).st_size - len(head)
         if size == 0 or size % (4 * l):
             raise ParseError(f"{path}: {size} bytes after the header are not "
                              f"one or more walks of l={l} int32 tokens")

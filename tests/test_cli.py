@@ -366,10 +366,6 @@ def test_undecodable_input_exits_2_and_names_the_line(sbm_workdir, capsys):
     cases = [  # each text reader, and the commands that read its file first
         (edges, read_edge_csv, [["ingest", edges, "--out", out],
                                 ["segment", edges, "--outdir", out]]),
-        (graph, load_graph, [["walk", graph, "--out", out],
-                             ["update", "--corpus", corpus, "--graph-prev", graph,
-                              "--graph-next", graph, "--out", out],
-                             ["train", corpus, "--graph", graph, "--out", out]]),
         (emb, import_embeddings, [classify]),
         (labels, lambda path: _read_labels(path, {}), [classify]),
     ]
@@ -389,6 +385,29 @@ def test_undecodable_input_exits_2_and_names_the_line(sbm_workdir, capsys):
                 assert capsys.readouterr().err == f"error: {message}\n"
                 assert not out.exists()
         path.write_bytes(b"".join(clean))
+
+
+def test_unreadable_graph_dump_exits_2_naming_the_path(sbm_workdir, capsys):
+    tmp_path, graph, _ = sbm_workdir
+    corpus, out = tmp_path / "c.wfw", tmp_path / "out"
+    main(["walk", str(graph), "--n", "2", "--out", str(corpus)])
+    head, rest = graph.read_bytes().split(b"\n", 1)
+    v1 = b"WALKFORGE-GRAPH v1 nodes=2 edges=1\nversion 0\nmaxts 1\n" \
+         b"node 0 a\nnode 1 b\nedge 0 1 1.0 1 1\n"
+    cases = [(v1, f"error: {graph}:1: not a WALKFORGE-GRAPH v2 file\n"),
+             (head + b"\n\xff" + rest[1:],
+              f"error: {graph}: the address block is not valid UTF-8\n")]
+    commands = [["walk", graph, "--out", out],
+                ["update", "--corpus", corpus, "--graph-prev", graph,
+                 "--graph-next", graph, "--out", out],
+                ["train", corpus, "--graph", graph, "--out", out]]
+    for data, message in cases:
+        graph.write_bytes(data)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(list(map(str, argv))) == 2, argv
+            assert capsys.readouterr().err == message, argv
+            assert not out.exists()
 
 
 def test_eval_mae_exact_toy(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import os
-import warnings
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -633,7 +633,8 @@ def test_negative_zero_edge_keeps_its_sign_in_the_dump(tmp_path):
     g, _ = apply_batch(g, [("a", "b", -0.0, 6)])
     path = tmp_path / "g.wfg"
     save_graph(g, path)
-    assert "edge 0 1 -0.0 3 3" in path.read_text().splitlines()
+    e = next(load_graph(path).edges())
+    assert (e.src, e.dst, e.weight.hex(), e.timestamp, e.count) == (0, 1, "-0x0.0p+0", 3, 3)
     # node sums start from +0.0, so the same rows leave a +0.0 stat
     assert g.node_stat(0, "V_out").hex() == "0x0.0p+0"
     save_graph(load_graph(path), tmp_path / "again.wfg")
@@ -677,8 +678,8 @@ def test_graph_dump_header(tmp_path):
     g = ingest_edges([("a", "b", 1.5, 3)])
     path = tmp_path / "g.wfg"
     save_graph(g, path)
-    head = path.read_text().splitlines()[0]
-    assert head == "WALKFORGE-GRAPH v1 nodes=2 edges=1"
+    head = path.read_bytes().split(b"\n")[0]
+    assert head == b"WALKFORGE-GRAPH v2 nodes=2 edges=1 version=0 maxts=3 address_bytes=4"
 
 
 def test_load_rejects_corrupt_header(tmp_path):
@@ -688,116 +689,91 @@ def test_load_rejects_corrupt_header(tmp_path):
         load_graph(path)
 
 
-DUMP_HEAD = ("WALKFORGE-GRAPH v1 nodes=3 edges=3\nversion 2\nmaxts 7\n"
-             "node 0 a\nnode 1 b\nnode 2 c\n")
-DUMP_EDGES = "edge 0 1 1.5 3 1\nedge 1 2 0.25 5 2\nedge 2 0 2.0 7 1\n"
-DUMP = DUMP_HEAD + DUMP_EDGES
-LATER_EDGES = [(1, 2, 0.25, 5, 2), (2, 0, 2.0, 7, 1)]
+V2_EDGES = [(0, 1, 1.5, 3, 1), (1, 2, 0.25, 5, 2), (2, 0, 2.0, 7, 1)]
 
 
-def _first_edge(w="1.5", t="3", c="1"):
-    return DUMP.replace("edge 0 1 1.5 3 1", f"edge 0 1 {w} {t} {c}")
+def _v2_dump(block=b"a\nb\nc\n", edges=V2_EDGES):
+    """A v2 dump of three nodes written field by field: version 2, maxts 7."""
+    columns = list(zip(*edges)) or [()] * 5
+    head = (f"WALKFORGE-GRAPH v2 nodes=3 edges={len(edges)} version=2 maxts=7 "
+            f"address_bytes={len(block)}\n")
+    return head.encode() + block + b"".join(
+        np.array(column, dtype=t).tobytes()
+        for column, t in zip(columns, ("<i8", "<i8", "<f8", "<i8", "<i8")))
 
 
-def _loaded(weight=1.5, ts=3, count=1, addresses="abc"):
-    return list(addresses), [(0, 1, weight, ts, count)] + LATER_EDGES
-
-
-INF, NAN = float("inf"), float("nan")
-# token: the first edge's (weight, ts, count) with the token as its weight,
-# as its timestamp, as its count; None where the loader names line 7
-EDGE_TOKENS = {
-    "1_0": ((10.0, 3, 1), (1.5, 10, 1), (1.5, 3, 10)),
-    "١": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),  # ARABIC-INDIC DIGIT ONE
-    "1_0.5": ((10.5, 3, 1), None, None),
-    "+1": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),
-    "nan": ((NAN, 3, 1), None, None),
-    "inf": ((INF, 3, 1), None, None),
-    "infinity": ((INF, 3, 1), None, None),
-    ".5": ((0.5, 3, 1), None, None),
-    "5.": ((5.0, 3, 1), None, None),
-}
-LOAD_CASES = [
-    *((f"{field}={token}", _first_edge(**{field: token}),
-       7 if fields is None else _loaded(*fields))
-      for token, row in EDGE_TOKENS.items() for field, fields in zip("wtc", row)),
-    ("ts-overflow", _first_edge(t=str(2 ** 63)), 7),
-    ("5-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3"), 7),
-    ("7-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3 1 x"), _loaded()),
-    ("crlf", DUMP.replace("\n", "\r\n"), _loaded()),
-    ("vt-separator", DUMP.replace("edge 1 2", "edge\x0b1\x0b2"), _loaded()),
-    # no edge line starts `edge `, so every one is read line by line
-    ("tab-after-every-edge-tag", DUMP.replace("edge ", "edge\t"), _loaded()),
-    ("blank-in-edges", DUMP.replace("edge 1 2", "\nedge 1 2"), _loaded()),
-    ("node-after-edges", DUMP.replace("nodes=3", "nodes=4") + "node 3 d\n",
-     _loaded(addresses="abcd")),
-    ("edge-before-its-node",
-     DUMP_HEAD.replace("node 2 c\n", "") + DUMP_EDGES + "node 2 c\n", 7),
-    # two node lines whose tokens still add up to three per line
-    ("short-node-line", DUMP.replace("node 1 b\nnode 2 c", "node 1\nnode node 2 c"), 5),
-    ("edgeless", DUMP_HEAD.replace("edges=3", "edges=0"), (list("abc"), [])),
-]
-
-
-@pytest.mark.parametrize("text, expected", [c[1:] for c in LOAD_CASES],
-                         ids=[c[0] for c in LOAD_CASES])
-def test_load_accepts_hand_edited_dumps_or_names_the_line(tmp_path, text, expected):
+def test_v2_dump_layout_loads_and_saves_byte_for_byte(tmp_path):
     path = tmp_path / "g.wfg"
-    path.write_bytes(text.encode())
-    if isinstance(expected, int):  # the line the loader names
-        with pytest.raises(ParseError) as err:
-            load_graph(path)
-        line = text.splitlines(True)[expected - 1]
-        assert str(err.value) == f"{path}:{expected}: malformed line {line!r}"
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns on an empty text block
-        g = load_graph(path)
-    addresses, edges = expected
+    path.write_bytes(_v2_dump())
+    g = load_graph(path)
     assert (g.version, g.max_timestamp) == (2, 7)
-    assert [g.address_of(u) for u in g.nodes()] == addresses
-    assert [(e.src, e.dst, e.weight.hex(), e.timestamp, e.count) for e in g.edges()] \
-        == [(s, d, w.hex(), t, c) for s, d, w, t, c in edges]
+    assert [g.address_of(u) for u in g.nodes()] == ["a", "b", "c"]
+    assert [(e.src, e.dst, e.weight, e.timestamp, e.count) for e in g.edges()] == V2_EDGES
+    save_graph(g, tmp_path / "again.wfg")
+    assert (tmp_path / "again.wfg").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("t", ["3.7", ".5", "5.", "1e3"])
-def test_load_names_a_float_timestamp_under_numpy_1_26_loadtxt(tmp_path, monkeypatch, t):
-    """numpy 1.23 to 1.26 parse an integer field that is no integer through
-    a float, truncated, with a DeprecationWarning; the loader must still
-    name the line rather than keep the truncated value."""
-    loadtxt = np.loadtxt
+def _bad_dumps():
+    data = _v2_dump()
+    yield "one-byte-more", data + b"\0"
+    for key, value in (("nodes", 3), ("edges", 3), ("address_bytes", 6)):
+        for off in (-1, 1):
+            yield f"{key}{off:+d}", data.replace(f"{key}={value}".encode(),
+                                                 f"{key}={value + off}".encode(), 1)
+    # b + 40·m still equals the payload size
+    yield "negative-edges", data.replace(b"edges=3", b"edges=-1", 1).replace(
+        b"address_bytes=6", b"address_bytes=166", 1)
+    yield "v1-header", data.replace(b"v2", b"v1", 1)
+    yield "maxts-float", data.replace(b"maxts=7", b"maxts=7.0", 1)
+    yield "header-key-missing", data.replace(b" version=2", b"", 1)
+    yield "empty-address", _v2_dump(b"a\n\nb\nc\n")
+    yield "address-with-space", _v2_dump(b"a\nb c\n")
+    yield "duplicate-address", _v2_dump(b"a\nb\na\n")
+    yield "no-final-newline", _v2_dump(b"a\nb\nc")
+    yield "crlf-address-block", _v2_dump(b"a\r\nb\r\nc\r\n")
+    yield "xff-byte", _v2_dump(b"a\n\xff\nc\n")
+    yield "edge-names-node-n", _v2_dump(edges=((0, 3, 1.0, 1, 1),))
+    yield "edge-names-node--1", _v2_dump(edges=((-1, 0, 1.0, 1, 1),))
+    yield "repeated-edge", _v2_dump(edges=((0, 1, 1.0, 1, 1), (0, 1, 1.0, 1, 1)))
 
-    def as_int(token):
-        if token.lstrip("+-").isdigit():
-            return token
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning, stacklevel=2)
-        return str(int(float(token)))
 
-    def loadtxt_1_26(lines, *args, **kwargs):
-        rows = [line.split() for line in lines]
-        return loadtxt([" ".join([r[0], *map(as_int, r[1:3]), r[3], *map(as_int, r[4:])])
-                        for r in rows], *args, **kwargs)
-    monkeypatch.setattr(np, "loadtxt", loadtxt_1_26)
-    path = tmp_path / "g.wfg"
-    text = _first_edge(t=t)
-    path.write_text(text)
+BAD_DUMPS = list(_bad_dumps())
+
+
+def _rejected(path, data):
+    """load_graph on a file of `data` raises a ParseError that names the
+    path, never a ValueError, IndexError or UnicodeDecodeError."""
+    path.write_bytes(data)
     with pytest.raises(ParseError) as err:
         load_graph(path)
-    assert str(err.value) == f"{path}:7: malformed line {text.splitlines(True)[6]!r}"
+    assert str(err.value).startswith(f"{path}:")
 
 
-def test_load_names_the_first_bad_line_in_file_order(tmp_path):
-    head = "WALKFORGE-GRAPH v1 nodes=2 edges=1\nversion 0\nmaxts 1\n"
+def test_load_rejects_every_strict_prefix_of_a_dump(tmp_path):
+    data = _v2_dump()
+    for k in range(len(data)):
+        _rejected(tmp_path / "g.wfg", data[:k])
+
+
+@pytest.mark.parametrize("data", [d for _, d in BAD_DUMPS], ids=[n for n, _ in BAD_DUMPS])
+def test_load_rejects_a_bad_dump_naming_the_path(tmp_path, data):
+    _rejected(tmp_path / "g.wfg", data)
+
+
+@pytest.mark.parametrize("counts", [f"edges={10 ** 12} address_bytes=0",
+                                    f"edges=1 address_bytes={10 ** 12}"])
+def test_load_rejects_a_count_past_the_payload_before_it_allocates(tmp_path, counts):
     path = tmp_path / "g.wfg"
-    # an edge may only name nodes listed above it
-    path.write_text(head + "node 0 a\nedge 0 1 1.0 1 1\nnode 1 b\n")
-    with pytest.raises(ParseError, match=r"g.wfg:5: malformed line 'edge 0 1 1.0 1 1\\n'"):
-        load_graph(path)
-    # a bad edge line is named before a later bad node line
-    path.write_text(head + "node 0 a\nnode 1 b\nedge 0 1 x 1 1\nnode z\n")
-    with pytest.raises(ParseError, match=r"g.wfg:6: malformed line"):
-        load_graph(path)
+    path.write_bytes(f"WALKFORGE-GRAPH v2 nodes=0 version=0 maxts=none {counts}\n".encode()
+                     + bytes(40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="bytes after the header"):
+            load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_versions_share_node_id_objects():

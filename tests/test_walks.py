@@ -411,8 +411,8 @@ def test_node_index_matches_rebuild_oracle():
 
 def test_edgeless_dump_gives_length_one_walks(tmp_path):
     path = tmp_path / "nodes.wfg"
-    path.write_text("WALKFORGE-GRAPH v1 nodes=3 edges=0\nversion 0\nmaxts none\n"
-                    "node 0 a\nnode 1 b\nnode 2 c\n")
+    path.write_bytes(b"WALKFORGE-GRAPH v2 nodes=3 edges=0 version=0 maxts=none "
+                     b"address_bytes=6\na\nb\nc\n")
     g = load_graph(path)
     for mode, hop in (("uniform", 1), ("mh", 1), ("mh", 2)):
         counter = DrawCounter()
