@@ -692,10 +692,10 @@ def test_load_rejects_corrupt_header(tmp_path):
 V2_EDGES = [(0, 1, 1.5, 3, 1), (1, 2, 0.25, 5, 2), (2, 0, 2.0, 7, 1)]
 
 
-def _v2_dump(block=b"a\nb\nc\n", edges=V2_EDGES):
-    """A v2 dump of three nodes written field by field: version 2, maxts 7."""
+def _v2_dump(block=b"a\nb\nc\n", edges=V2_EDGES, nodes=3):
+    """A v2 dump written field by field: version 2, maxts 7."""
     columns = list(zip(*edges)) or [()] * 5
-    head = (f"WALKFORGE-GRAPH v2 nodes=3 edges={len(edges)} version=2 maxts=7 "
+    head = (f"WALKFORGE-GRAPH v2 nodes={nodes} edges={len(edges)} version=2 maxts=7 "
             f"address_bytes={len(block)}\n")
     return head.encode() + block + b"".join(
         np.array(column, dtype=t).tobytes()
@@ -775,6 +775,98 @@ def test_load_rejects_a_count_past_the_payload_before_it_allocates(tmp_path, cou
         tracemalloc.stop()
     assert peak < 2 ** 20
 
+
+
+DUMP_HEAD = ("WALKFORGE-GRAPH v1 nodes=3 edges=3\nversion 2\nmaxts 7\n"
+             "node 0 a\nnode 1 b\nnode 2 c\n")
+DUMP_EDGES = "edge 0 1 1.5 3 1\nedge 1 2 0.25 5 2\nedge 2 0 2.0 7 1\n"
+DUMP = DUMP_HEAD + DUMP_EDGES
+
+
+def _first_edge(w="1.5", t="3", c="1"):
+    return DUMP.replace("edge 0 1 1.5 3 1", f"edge 0 1 {w} {t} {c}")
+
+
+def _loaded(weight=1.5, ts=3, count=1, addresses="abc"):
+    return list(addresses), [(0, 1, weight, ts, count)] + V2_EDGES[1:]
+
+
+INF, NAN = float("inf"), float("nan")
+# token: the first edge's (weight, ts, count) with the token as its weight,
+# as its timestamp, as its count; None where the text loader named line 7
+EDGE_TOKENS = {
+    "1_0": ((10.0, 3, 1), (1.5, 10, 1), (1.5, 3, 10)),
+    "١": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),  # ARABIC-INDIC DIGIT ONE
+    "1_0.5": ((10.5, 3, 1), None, None),
+    "+1": ((1.0, 3, 1), (1.5, 1, 1), (1.5, 3, 1)),
+    "nan": ((NAN, 3, 1), None, None),
+    "inf": ((INF, 3, 1), None, None),
+    "infinity": ((INF, 3, 1), None, None),
+    ".5": ((0.5, 3, 1), None, None),
+    "5.": ((5.0, 3, 1), None, None),
+}
+# hand edits of a v1 text dump, with the graph the text loader read from
+# each, or the line it named
+LOAD_CASES = [
+    *((f"{field}={token}", _first_edge(**{field: token}),
+       7 if fields is None else _loaded(*fields))
+      for token, row in EDGE_TOKENS.items() for field, fields in zip("wtc", row)),
+    ("ts-overflow", _first_edge(t=str(2 ** 63)), 7),
+    ("5-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3"), 7),
+    ("7-fields", DUMP.replace("edge 0 1 1.5 3 1", "edge 0 1 1.5 3 1 x"), _loaded()),
+    ("crlf", DUMP.replace("\n", "\r\n"), _loaded()),
+    ("vt-separator", DUMP.replace("edge 1 2", "edge\x0b1\x0b2"), _loaded()),
+    ("tab-after-every-edge-tag", DUMP.replace("edge ", "edge\t"), _loaded()),
+    ("blank-in-edges", DUMP.replace("edge 1 2", "\nedge 1 2"), _loaded()),
+    ("node-after-edges", DUMP.replace("nodes=3", "nodes=4") + "node 3 d\n",
+     _loaded(addresses="abcd")),
+    ("edge-before-its-node",
+     DUMP_HEAD.replace("node 2 c\n", "") + DUMP_EDGES + "node 2 c\n", 7),
+    ("short-node-line", DUMP.replace("node 1 b\nnode 2 c", "node 1\nnode node 2 c"), 5),
+    ("edgeless", DUMP_HEAD.replace("edges=3", "edges=0"), (list("abc"), [])),
+]
+
+
+@pytest.mark.parametrize("text, expected", [c[1:] for c in LOAD_CASES],
+                         ids=[c[0] for c in LOAD_CASES])
+def test_load_accepts_hand_edited_dumps_or_names_the_line(tmp_path, text, expected):
+    """A hand-edited v1 text dump is refused at its header line. Where the
+    text loader kept the edit, the same graph written as v2 loads bit for
+    bit and saves back to the same bytes."""
+    path = tmp_path / "g.wfg"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}:1: not a WALKFORGE-GRAPH v2 file"
+    if isinstance(expected, int):  # no v2 file holds what the text loader refused
+        return
+    addresses, edges = expected
+    path.write_bytes(_v2_dump("".join(f"{a}\n" for a in addresses).encode(), edges,
+                              nodes=len(addresses)))
+    g = load_graph(path)
+    assert (g.version, g.max_timestamp) == (2, 7)
+    assert [g.address_of(u) for u in g.nodes()] == addresses
+    assert [(e.src, e.dst, e.weight.hex(), e.timestamp, e.count) for e in g.edges()] \
+        == [(s, d, w.hex(), t, c) for s, d, w, t, c in edges]
+    save_graph(g, tmp_path / "again.wfg")
+    assert (tmp_path / "again.wfg").read_bytes() == path.read_bytes()
+
+
+def test_load_names_the_first_bad_line_in_file_order(tmp_path):
+    """The loader checks the header, then the address block, then the
+    edges, and names the first fault in that order."""
+    path = tmp_path / "g.wfg"
+    bad_block, bad_edges = b"a\n\xff\nc\n", ((0, 1, 1.0, 1, 1), (1, 3, 1.0, 1, 1),
+                                              (2, 5, 1.0, 1, 1))
+    path.write_bytes(_v2_dump(bad_block, bad_edges).replace(b"v2", b"v1", 1))
+    with pytest.raises(ParseError, match=r"g.wfg:1: not a WALKFORGE-GRAPH v2 file$"):
+        load_graph(path)
+    path.write_bytes(_v2_dump(bad_block, bad_edges))
+    with pytest.raises(ParseError, match=r"g.wfg: the address block is not valid UTF-8$"):
+        load_graph(path)
+    path.write_bytes(_v2_dump(edges=bad_edges))
+    with pytest.raises(ParseError, match=r"g.wfg: edge 1: \(1, 3\) names a node outside"):
+        load_graph(path)
 
 def test_versions_share_node_id_objects():
     # ids past 256, which CPython does not cache as shared int objects
