@@ -611,8 +611,9 @@ def save_graph(g: TransactionGraph, path):
 
 def load_graph(path) -> TransactionGraph:
     """Size the payload by the header's counts before reading it, check the
-    address block and the node ids, then build the version from the edge
-    columns as `ingest_edges` would."""
+    address block, the node ids and that the edges are in strictly
+    ascending (src, dst) order, as `save_graph` writes them, then build the
+    version from the edge columns as `ingest_edges` would."""
     with open(path, "rb") as fh:
         (n, m, version, max_ts, b), size = read_header(fh, path, GRAPH_MAGIC, _GRAPH_HEADER)
         if min(n, m, b) < 0 or size != b + 40 * m:
@@ -633,11 +634,11 @@ def load_graph(path) -> TransactionGraph:
         k = int(bad.argmax())
         raise ParseError(f"{path}: edge {k}: ({src[k]}, {dst[k]}) names a node "
                          f"outside 0..{n - 1}")
+    unordered = np.flatnonzero(np.diff(src * n + dst) <= 0)
+    if len(unordered):
+        k = int(unordered[0]) + 1
+        raise ParseError(f"{path}: edge {k}: ({src[k]}, {dst[k]}) does not follow "
+                         f"edge {k - 1} ({src[k - 1]}, {dst[k - 1]}) in (src, dst) order")
     # aggregated edges keep earliest timestamps, so the true high-water mark
     # only survives through the header's maxts
-    g = _grow(_empty(), addresses, ids, src, dst, w, ts, c, version, max_ts)[0]
-    if (n, m) != (g.num_nodes, g.num_edges):
-        raise ParseError(
-            f"{path}: header declares nodes={n} edges={m} "
-            f"but file has {g.num_nodes}/{g.num_edges}")
-    return g
+    return _grow(_empty(), addresses, ids, src, dst, w, ts, c, version, max_ts)[0]

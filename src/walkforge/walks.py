@@ -22,17 +22,16 @@ Both modes share one loop that advances a block of walks in lockstep, as
 numpy arrays, in the manner of KnightKing (Yang et al., SOSP 2019): step
 s writes token s + 1 of every live walk, and each mode supplies only a
 vectorised step from the current nodes to the next ones. The leap
-sampler builds a row for each node its walks reach, once per graph
-version: the node's sorted capped frontier and, per slot, the acceptance
-threshold min(1, R) + alpha_min. At each step it builds the rows of all
-the step's nodes that have none yet at once, by a breadth-first search
-from all of them together over (source, node) key arrays: one over the
-out-edges gives every frontier, one over the in-edges every return
-distance. A leap step is then a gather of the slot and one comparison; a
-rejected leap writes its node again, and that repeat is dropped when the
-block ends. A node whose frontier overflows the cap has no row; walks
-there take the guard path inside the same step, which is approximate and
-counted.
+sampler builds every row of its graph version once, when it is made: a
+node's sorted capped frontier and, per slot, the acceptance threshold
+min(1, R) + alpha_min. One breadth-first search from all nodes together
+over (source, node) key arrays, over the out-edges, gives every frontier;
+one over the in-edges gives every return distance. A leap step is then a
+gather of the slot and one comparison; a rejected leap writes its node
+again, and that repeat is dropped when the block ends. A node whose
+frontier overflows the cap has no row but a guard entry; all of a step's
+walks at such nodes take the guard path together, as arrays, and that
+path is approximate and counted.
 
 A sampler speaks token rows only: `walks(ids, rows, start)` returns the
 int32 rows it stepped, and resumes walks from given rows. A corpus (and
@@ -53,7 +52,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -140,14 +138,16 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def keyed_uniforms(seed: int, walk_ids, counters) -> np.ndarray:
+def keyed_uniforms(seed, walk_ids, counters) -> np.ndarray:
     """U[k, j] in [0, 1): draw number counters[j] of walk walk_ids[k].
 
     It is SplitMix64's output at position w * 2**32 + c + 1 of the stream
     that `seed` starts, so every (seed, walk, draw) has its own position
-    and any draw can be computed without the ones before it.
+    and any draw can be computed without the ones before it. `seed` is an
+    int, or an array of non-negative ones: seed[k] for row k.
     """
-    state = _mix(np.array([seed & _MASK64], dtype=np.uint64))
+    seeds = np.asarray(seed & _MASK64 if np.ndim(seed) == 0 else seed, dtype=np.uint64)
+    state = _mix(seeds.reshape(-1, 1))
     pos = ((np.asarray(walk_ids, dtype=np.uint64) << _S32)[:, None]
            + np.asarray(counters, dtype=np.uint64) + np.uint64(1))
     z = _mix(state + pos * _GAMMA)
@@ -202,20 +202,6 @@ def _member(keys, table) -> np.ndarray:
     hit = at < len(table)
     hit[hit] = table[at[hit]] == keys[hit]
     return hit
-
-
-def _by_source(levels, seeds, n) -> list:
-    """Per key k * n + u of the sorted `seeds`, the nodes of source k in
-    each of the sorted key arrays `levels`, as lists."""
-    ks = seeds // n
-    out = [[] for _ in ks.tolist()]
-    for keys in levels:
-        keys = keys[_member(keys // n, ks)]
-        nodes = (keys % n).tolist()
-        at = np.searchsorted(keys, ks * n).tolist() + [len(nodes)]
-        for parts, lo, hi in zip(out, at, at[1:]):
-            parts.append(nodes[lo:hi])
-    return out
 
 
 def _levels(csr, n, seeds, depth):
@@ -349,18 +335,20 @@ class UniformSampler(_Sampler):
 
 
 class LeapSampler(_Sampler):
-    """MH leap walker over per-node rows of this version, built when a
-    step first reaches their nodes.
+    """MH leap walker over the rows of one graph version, all built when
+    the sampler is made.
 
     The row of node u holds its sorted capped frontier and, per slot v,
-    the threshold min(1, R(u, v)) + alpha_min. `_build` makes the rows of
-    all of a step's new nodes in one multi-source BFS (`_levels`) over the
-    out-edges, and takes their return distances from one over the
-    in-edges; `rows_built` counts them. Step s of a walk at u picks slot
+    the threshold min(1, R(u, v)) + alpha_min. `_build` makes every row in
+    one multi-source BFS (`_levels`) from all nodes over the out-edges, and
+    takes their return distances from one over the in-edges; `rows_built`
+    counts them, one per node. Step s of a walk at u picks slot
     floor(U(w, 2s) * |row|) and leaps there when U(w, 2s + 1) is below its
-    threshold. A walk at a node whose frontier overflows the cap takes the
-    guard path instead; those steps are counted in `overflows`, and the
-    ones whose retries ran out in `exhausted`.
+    threshold. A node whose frontier overflows the cap has a guard entry
+    instead: its ball (the nodes closer than hop) and its upstream hop
+    distances, as sorted keys u * n + x. All of a step's walks at such
+    nodes take the guard path (`_guard`) together; those steps are counted
+    in `overflows`, and the ones whose retries ran out in `exhausted`.
     """
 
     mode = MODE_MH
@@ -373,115 +361,118 @@ class LeapSampler(_Sampler):
         # q(d) for a return distance d (index 0: no return within hop)
         self._q = np.array([cfg.nominal_return]
                            + [_q_value(cfg, d) for d in range(1, cfg.hop + 1)])
-        self._p = None  # p(u) + eps of every node, read when rows are built
-        # row of u: slots start[u] .. start[u] + size[u] of fr (frontier
-        # node) and th (threshold); size -1 marks an overflow, -2 no row yet.
-        # Slot 0 is the start of every empty row: a walk that picks it takes
-        # -1 whatever its acceptance uniform, so it ends. Walks at an
-        # overflow node pick it too, and the guard path overwrites them.
-        self._start = np.zeros(g.num_nodes, dtype=np.intp)
-        self._size = np.full(g.num_nodes, -2, dtype=np.intp)
-        self._fr = np.array([-1], dtype=np.intp)
-        self._th = np.array([np.inf])
-        self._guards = {}  # overflow node u -> (<h ball, upstream hops)
+        self._p = g.stat_array(cfg.target_stat) + cfg.stat_smoothing  # p(u) + eps
+        self._build()
 
     def _thresholds(self, curr, v, back) -> np.ndarray:
         """min(1, R(curr, v)) + alpha_min per slot, with _acceptance's
         float operations in the same order; back[k] is the return distance
         from v[k] to curr[k], 0 when there is none within hop."""
         cfg = self.cfg
-        if self._p is None:
-            self._p = self.g.stat_array(cfg.target_stat) + cfg.stat_smoothing
         ratio = (self._p[v] * self._q[back]) / (self._p[curr] * _q_value(cfg, cfg.hop))
         return np.minimum(ratio, 1.0) + cfg.alpha_min
 
-    def _build(self, nodes):
-        """Build the rows of the nodes that have none yet, all at once and
-        in ascending node order: one multi-source BFS over the out-edges
-        gives every frontier, and one over the in-edges every return
-        distance and each overflow node's guard entry."""
-        new = _distinct(nodes[self._size[nodes] == -2].astype(np.intp))
-        if not len(new):
-            return
-        self.rows_built += len(new)
+    def _build(self):
+        """Every row and guard entry, in node order. Source u of the BFS is
+        the key u * n + u, so its level keys are u * n + x. Row u is slots
+        start[u] .. start[u] + size[u] of fr (frontier node) and th
+        (threshold); size -1 marks an overflow. Slot 0 is the start of every
+        empty row: a walk that picks it takes -1 whatever its acceptance
+        uniform, so it ends. Walks at an overflow node pick it too, and the
+        guard path overwrites them. The guard entries are `_ball`, the keys
+        of each overflow node's levels closer than hop, and `_up`, the keys
+        of its upstream levels 1..hop with their distances `_up_d`; `_up`
+        ends in the key n * n, which no lookup matches."""
         g, h, n = self.g, self.cfg.hop, self.g.num_nodes
-        fr, th, end = [self._fr], [self._th], len(self._fr)
-        for levels in _levels(g.out_csr(), n, np.arange(len(new)) * n + new, h):
-            src = levels[0]  # k * n + new[k] for the chunk's sources k
-            k0, u = src[0] // n, src % n
-            front = levels[h]
-            size = np.bincount(front // n - k0, minlength=len(src))
-            over = size > self._cap
-            self._size[u] = np.where(over, -1, size)
-            if over.any():
-                front = front[~over[front // n - k0]]
-                size[over] = 0
-                for w, ball in zip(u[over].tolist(), _by_source(levels[:h], src[over], n)):
-                    self._guards[w] = (frozenset(chain.from_iterable(ball)), {})
-            full = size > 0
-            self._start[u[full]] = (end + np.cumsum(size) - size)[full]
-            end += len(front)
-            # return distance of each frontier slot: its node's level in
-            # the upstream BFS from the row's node, 0 beyond h
-            back = np.zeros(len(front), dtype=np.intp)
-            for up in _levels(g.in_csr(), n, src[full | over], h):
-                lo, hi = np.searchsorted(front, [up[0][0] // n * n, (up[0][-1] // n + 1) * n])
-                for d in range(1, h + 1):
-                    back[lo:hi][_member(front[lo:hi], up[d])] = d
-                if over.any():
-                    for w, hops in zip(u[over].tolist(), _by_source(up[1:], src[over], n)):
-                        for d, nodes in enumerate(hops, 1):
-                            self._guards[w][1].update(dict.fromkeys(nodes, d))
-            v = front % n
-            fr.append(v)
-            th.append(self._thresholds(new[front // n], v, back))
-        self._fr = np.concatenate(fr)
-        self._th = np.concatenate(th)
+        size = np.zeros(n, dtype=np.intp)
+        none = np.empty(0, dtype=np.intp)
+        fronts, ball = [none], [none]
+        for levels in _levels(g.out_csr(), n, np.arange(n) * (n + 1), h):
+            u = levels[0] // n  # the chunk's sources, consecutive nodes
+            cnt = np.bincount(levels[h] // n - u[0], minlength=len(u))
+            over = cnt > self._cap
+            size[u] = np.where(over, -1, cnt)
+            fronts.append(levels[h][~over[levels[h] // n - u[0]]])
+            ball += [keys[over[keys // n - u[0]]] for keys in levels[:h]]
+        front = np.concatenate(fronts)
+        rows = size.clip(0)
+        self._size = size
+        self._start = np.where(rows > 0, np.cumsum(rows) - rows + 1, 0)
+        # return distance of each frontier slot: its node's level in the
+        # upstream BFS from the row's node, 0 beyond h
+        back = np.zeros(len(front), dtype=np.intp)
+        up, up_d = [none, np.array([n * n])], [none, np.zeros(1, dtype=np.intp)]
+        for levels in _levels(g.in_csr(), n, np.flatnonzero(size) * (n + 1), h):
+            lo, hi = np.searchsorted(front, [levels[0][0] // n * n, (levels[0][-1] // n + 1) * n])
+            for d in range(1, h + 1):
+                back[lo:hi][_member(front[lo:hi], levels[d])] = d
+                keys = levels[d][size[levels[d] // n] < 0]
+                up.append(keys)
+                up_d.append(np.full(len(keys), d))
+        v = front % n
+        self._fr = np.concatenate([[-1], v])
+        self._th = np.concatenate([[np.inf], self._thresholds(front // n, v, back)])
+        self._ball = np.sort(np.concatenate(ball))
+        up = np.concatenate(up)
+        order = np.argsort(up)
+        self._up, self._up_d = up[order], np.concatenate(up_d)[order]
+        self.rows_built = n
 
-    def _draw_beyond_ball(self, curr: int, ball, u_prop: float) -> int | None:
-        """Guard path for oversized frontiers: random h-step forward
-        expansion, rejecting landings inside the <h ball. Any survivor is
-        at distance exactly h. Draws are approximate (path-multiplicity
-        biased), which is the accepted trade for not materializing the
-        frontier. The expansion's uniforms are seeded by the step's proposal
-        uniform, so they too are a function of the walk's keyed draws."""
-        nbrs_of = self.g.out_neighbors
-        h = self.cfg.hop
-        us = iter(keyed_uniforms(int(u_prop * 2.0 ** 53), (0,),
-                                 range(h * _FALLBACK_TRIES))[0].tolist())
+    def _guard(self, u, u_prop) -> np.ndarray:
+        """Guard path for oversized frontiers, for the walks at the overflow
+        nodes `u` at once: up to _FALLBACK_TRIES random h-step forward
+        expansions over the out-edges, in lockstep, rejecting landings in
+        the node's ball, so any survivor is at distance exactly h. Returns
+        each walk's survivor, or -1 when its retries ran out. Draws are
+        approximate (path-multiplicity biased), which is the accepted trade
+        for not materializing the frontier. A walk's expansion uniforms are
+        seeded by its proposal uniform, so they too are a function of its
+        keyed draws; each hop takes the walk's next one, so a try that ends
+        at a sink on hop j has used j + 1."""
+        h, n = self.cfg.hop, self.g.num_nodes
+        csr = self.g.out_csr()
+        us = keyed_uniforms((u_prop * 2.0 ** 53).astype(np.uint64),
+                            np.zeros(len(u), dtype=np.intp), range(h * _FALLBACK_TRIES))
+        used = np.zeros(len(u), dtype=np.intp)
+        v = np.full(len(u), -1, dtype=np.intp)
+        todo = np.arange(len(u))  # walks with no survivor yet
         for _ in range(_FALLBACK_TRIES):
-            x = curr
-            for u in islice(us, h):
-                nbrs = nbrs_of(x)
-                if not nbrs:
-                    x = None
-                    break
-                x = nbrs[int(u * len(nbrs))]
-            if x is not None and x not in ball:
-                return x
-        return None
+            k, x = todo, u[todo]
+            for _ in range(h):
+                lo = csr.indptr[x]
+                deg = csr.indptr[x + 1] - lo
+                pick = lo + (us[k, used[k]] * deg).astype(np.intp)
+                used[k] += 1
+                live = deg > 0
+                k, x = k[live], csr.indices[pick[live]]
+            hit = ~_member(u[k] * n + x, self._ball)
+            v[k[hit]] = x[hit]
+            todo = todo[v[todo] < 0]
+            if not len(todo):
+                break
+        return v
 
     def step(self, cur, unif) -> np.ndarray:
         """One chain step of each walk at the nodes `cur`, on two uniforms
         per walk (the rows of `unif`: proposal, acceptance). Returns the
         accepted candidate, cur itself on rejection, or -1 at an empty
-        frontier (the walk ends). A walk at an overflow node takes the
-        guard path."""
-        self._build(cur)
+        frontier (the walk ends). The walks at overflow nodes take the
+        guard path; one whose retries ran out stays where it is."""
         size = self._size[cur]
         slot = self._start[cur] + (unif[:, 0] * size).astype(np.intp)
         nxt = np.where(unif[:, 1] < self._th[slot], self._fr[slot], cur)
-        for k in np.flatnonzero(size < 0).tolist():
-            u = int(cur[k])
-            u_prop, u_acc = unif[k].tolist()
-            ball, hops = self._guards[u]
-            v = self._draw_beyond_ball(u, ball, u_prop)
-            self.overflows += 1
-            if v is None:
-                self.exhausted += 1
-                nxt[k] = u  # retries exhausted; step consumed
-            else:
-                nxt[k] = v if u_acc < self._thresholds(u, v, hops.get(v, 0)) else u
+        over = np.flatnonzero(size < 0)
+        if len(over):
+            u = cur[over].astype(np.intp)
+            v = self._guard(u, unif[over, 0])
+            out = v < 0
+            self.overflows += len(over)
+            self.exhausted += int(np.count_nonzero(out))
+            v[out] = u[out]
+            key = u * self.g.num_nodes + v
+            at = np.searchsorted(self._up, key)
+            back = np.where(self._up[at] == key, self._up_d[at], 0)
+            nxt[over] = np.where(unif[over, 1] < self._thresholds(u, v, back), v, u)
         return nxt
 
     def _block(self, ids, tok, start):

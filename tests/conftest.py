@@ -1,5 +1,9 @@
+from itertools import islice
+
 import numpy as np
 from hypothesis import HealthCheck, settings
+
+from walkforge.walks import _FALLBACK_TRIES, keyed_uniforms
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -66,6 +70,27 @@ def upstream_hops(g, u, h):
         level = nxt
     del hops[u]
     return hops
+
+
+def guard_expansion(g, u, ball, h, u_prop):
+    """The leap walker's guard path for one walk at the overflow node u,
+    written as a plain loop: up to _FALLBACK_TRIES random h-step out-walks
+    from u, each hop on the next of the uniforms that the proposal uniform
+    u_prop seeds (a try that ends at a sink on hop j uses j + 1 of them).
+    The first landing outside `ball`, or None when the tries run out."""
+    us = iter(keyed_uniforms(int(u_prop * 2.0 ** 53), (0,),
+                             range(h * _FALLBACK_TRIES))[0].tolist())
+    for _ in range(_FALLBACK_TRIES):
+        x = u
+        for unif in islice(us, h):
+            nbrs = g.out_neighbors(x)
+            if not nbrs:
+                x = None
+                break
+            x = nbrs[int(unif * len(nbrs))]
+        if x is not None and x not in ball:
+            return x
+    return None
 
 
 def resumed(sampler, prefixes, walk_ids):

@@ -15,7 +15,6 @@ from walkforge import (
     plan_update,
     read_edge_csv,
 )
-from walkforge import incremental
 from walkforge.cli import _read_labels, main
 from walkforge.synth import sbm_stream
 from conftest import random_rows, write_corpus
@@ -234,29 +233,20 @@ def test_update_reports_frontier_overflows(tmp_path, segment_pair, capsys):
         assert report["fallback_exhausted"] == 0
 
 
-def test_update_reports_leap_rows_built(tmp_path, segment_pair, capsys, monkeypatch):
+def test_update_reports_leap_rows_built(tmp_path, segment_pair, capsys):
     """The report counts the leap rows the update's sampler built: none in
-    uniform mode, and in MH mode every node whose row it holds."""
-    samplers = []
-    make = incremental.make_sampler
-    monkeypatch.setattr(incremental, "make_sampler",
-                        lambda *args: samplers.append(make(*args)) or samplers[-1])
+    uniform mode, and in MH mode one per node of the new version."""
     g0, g1 = segment_pair
     corpus0 = tmp_path / "c0.wfw"
-    for mode in ("uniform", "mh"):
+    for mode, built in (("uniform", 0), ("mh", load_graph(g1).num_nodes)):
         flags = ["--mode", mode, "--n", "2", "--seed", "3"]
         assert main(["walk", str(g0), "--out", str(corpus0)] + flags) == 0
         capsys.readouterr()
-        samplers.clear()
         assert main(["update", "--corpus", str(corpus0), "--graph-prev", str(g0),
                      "--graph-next", str(g1), "--out", str(tmp_path / "c1.wfw")]
                     + flags) == 0
         report = json.loads(capsys.readouterr().out)
-        (sampler,) = samplers
-        if mode == "uniform":
-            assert report["leap_rows_built"] == 0
-        else:
-            assert report["leap_rows_built"] == np.count_nonzero(sampler._size != -2) > 0
+        assert report["leap_rows_built"] == built
 
 
 def test_update_rejects_wrong_predecessor(tmp_path, segment_pair):

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import networkx as nx
@@ -867,6 +868,18 @@ def test_load_names_the_first_bad_line_in_file_order(tmp_path):
     path.write_bytes(_v2_dump(edges=bad_edges))
     with pytest.raises(ParseError, match=r"g.wfg: edge 1: \(1, 3\) names a node outside"):
         load_graph(path)
+
+
+def test_load_rejects_edges_out_of_src_dst_order(tmp_path):
+    """The fixture's edges in reverse order are refused at the first edge
+    that does not follow its predecessor, so every graph file that loads
+    is the one `save_graph` writes for its graph."""
+    path = tmp_path / "g.wfg"
+    path.write_bytes(_v2_dump(edges=V2_EDGES[::-1]))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: edge 1: \(1, 2\) does "
+                                         r"not follow edge 0 \(2, 0\) in \(src, dst\) order$"):
+        load_graph(path)
+
 
 def test_versions_share_node_id_objects():
     # ids past 256, which CPython does not cache as shared int objects

@@ -28,8 +28,8 @@ from walkforge.incremental import DrawCounter
 from walkforge.synth import sbm_stream
 from walkforge import walks
 from walkforge.walks import LeapSampler, build_node_index, keyed_uniforms, make_sampler
-from conftest import (random_rows, resumed, rows_from_edges, uniform_walk, upstream_hops,
-                      write_corpus)
+from conftest import (guard_expansion, random_rows, resumed, rows_from_edges, uniform_walk,
+                      upstream_hops, write_corpus)
 
 
 def rng_(seed=0):
@@ -223,9 +223,8 @@ def test_frontier_guard_samples_exact_distance():
 def chained_steps(g, cfg, ids, prefixes):
     """Oracle: each walk chained one step at a time over its keyed draws,
     from the capped frontier and mh_acceptance, with the guard expansion
-    (`_draw_beyond_ball`) at overflow nodes; and the (draws, overflows,
+    (`guard_expansion`) at overflow nodes; and the (draws, overflows,
     exhausted) counts that makes."""
-    guard = LeapSampler(g, cfg)
     cap = 64 * cfg.hop if cfg.frontier_cap is None else cfg.frontier_cap
     l = cfg.walk_length
     draws = keyed_uniforms(cfg.seed, ids, range(2 * (l - 1))).tolist()
@@ -241,7 +240,7 @@ def chained_steps(g, cfg, ids, prefixes):
             counts[0] += 1
             if frontier is None:
                 counts[1] += 1
-                v = guard._draw_beyond_ball(curr, ball, u_prop)
+                v = guard_expansion(g, curr, ball, cfg.hop, u_prop)
                 if v is None:
                     counts[2] += 1
                     continue
@@ -285,52 +284,52 @@ def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat
     assert (sampler.draws, sampler.overflows, sampler.exhausted) == counts
 
 
-def leap_rows(sampler, calls):
-    """Build rows over these calls; the sampler's row arrays and guards."""
-    for nodes in calls:
-        sampler._build(np.array(nodes, dtype=np.int32))
-    return ([a.tobytes() for a in (sampler._size, sampler._start, sampler._fr, sampler._th)],
-            sampler._guards)
+def leap_rows(sampler):
+    """The sampler's row arrays and guard entries, as bytes."""
+    return [a.tobytes() for a in (sampler._size, sampler._start, sampler._fr, sampler._th,
+                                  sampler._ball, sampler._up, sampler._up_d)]
 
 
 @settings(max_examples=60)
 @given(edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
                                 st.floats(0.1, 5.0)), min_size=1, max_size=40),
        mirror=st.booleans(), hop=st.integers(1, 3), cap=st.sampled_from([None, 1, 4]),
-       proposal=st.sampled_from("SE"), stat=st.sampled_from(STAT_KINDS),
-       calls=st.lists(st.lists(st.integers(0, 9), max_size=10), max_size=4))
-def test_leap_rows_equal_per_node_oracles(edges, mirror, hop, cap, proposal, stat,
-                                          calls):
-    """Rows built in batches of nodes (with repeats and nodes already
-    built) hold, slot for slot, each node's capped frontier and the
+       proposal=st.sampled_from("SE"), stat=st.sampled_from(STAT_KINDS))
+def test_leap_rows_equal_per_node_oracles(edges, mirror, hop, cap, proposal, stat):
+    """Every node's row holds, slot for slot, its capped frontier and the
     oracle's acceptance plus alpha_min. An overflow node's guard entry holds
-    the ball closer than hop and the upstream hop distances. With one
-    source per chunk of the multi-source BFS, every array is the same.
-    `mirror` adds every edge's reverse, so that return paths are common."""
+    the ball closer than hop and the upstream hop distances; other nodes
+    have none. With one source per chunk of the multi-source BFS, every
+    array is the same. `mirror` adds every edge's reverse, so that return
+    paths are common."""
     if mirror:
         edges = edges + [(v, u, w) for u, v, w in edges]
     g = ingest_edges(rows_from_edges(edges))
     cfg = WalkConfig(hop=hop, alpha_min=0.3, target_stat=stat, proposal=proposal,
                      frontier_cap=cap)
-    calls = [[u % g.num_nodes for u in nodes] for nodes in calls] + [list(g.nodes())]
     sampler = LeapSampler(g, cfg)
-    rows, guards = leap_rows(sampler, calls)
-    assert sampler.rows_built == g.num_nodes
+    n = g.num_nodes
+    assert sampler.rows_built == n
+    assert sampler._up[-1] == n * n  # the end key, which no lookup matches
     for u in g.nodes():
         frontier, ball = g.capped_frontier(u, hop, sampler._cap)
         size, lo = sampler._size[u], sampler._start[u]
+        ball_keys = sampler._ball[sampler._ball // n == u]
+        hop_keys = sampler._up[:-1] // n == u
         if frontier is None:
             assert size == -1 and lo == 0
-            assert guards[u] == (ball, upstream_hops(g, u, hop))
+            assert (ball_keys % n).tolist() == sorted(ball)
+            assert dict(zip((sampler._up[:-1][hop_keys] % n).tolist(),
+                            sampler._up_d[:-1][hop_keys].tolist())) == upstream_hops(g, u, hop)
             continue
-        assert size == len(frontier) and u not in guards
+        assert size == len(frontier) and not len(ball_keys) and not hop_keys.any()
         assert lo == 0 if size == 0 else lo > 0
         assert sampler._fr[lo:lo + size].tolist() == list(frontier)
         assert sampler._th[lo:lo + size].tolist() == [
             mh_acceptance(g, u, v, cfg) + cfg.alpha_min for v in frontier]
     assert len(sampler._fr) == 1 + sampler._size.clip(0).sum()
     with mock.patch.object(walks, "_KEYS", 1):
-        assert leap_rows(LeapSampler(g, cfg), calls) == (rows, guards)
+        assert leap_rows(LeapSampler(g, cfg)) == leap_rows(sampler)
 
 
 def test_leap_rows_built_are_counted():
@@ -343,9 +342,35 @@ def test_leap_rows_built_are_counted():
             counter = DrawCounter()
             counter.add(sampler)
             counter.add(sampler)
-            built = 0 if mode == "uniform" else np.count_nonzero(sampler._size != -2)
+            built = 0 if mode == "uniform" else g.num_nodes
             assert counter.rows_built == 2 * sampler.rows_built == 2 * built
-    assert 0 < sampler.rows_built <= g.num_nodes
+
+
+@pytest.mark.parametrize("hop", [2, 3])
+def test_guard_step_equals_scalar_expansion(hop):
+    """A hub whose frontier overflows a cap of 1: {21, 22} at hop 2 and
+    {23, 24} at hop 3. Half its spokes are sinks and the other half lead
+    back to it, so most tries end early or land in its ball, and many
+    walks run out of retries. At hop 3 a try that ends at a spoke has used
+    2 of its 3 uniforms, and the next try starts on the third. The array
+    guard step equals the plain-loop oracle draw for draw."""
+    edges = ([(0, i) for i in range(1, 21)] + [(i, 0) for i in range(2, 21, 2)]
+             + [(2, 21), (4, 22), (21, 0), (21, 23), (22, 24)])
+    g = ingest_edges(rows_from_edges(edges))
+    cfg = WalkConfig(hop=hop, alpha_min=0.3, frontier_cap=1, seed=0)
+    sampler = LeapSampler(g, cfg)
+    unif = rng_(11).random((300, 2))
+    nxt = sampler.step(np.zeros(300, dtype=np.int32), unif)
+    _, ball = g.capped_frontier(0, hop, 1)
+    expected, exhausted = [], 0
+    for u_prop, u_acc in unif.tolist():
+        v = guard_expansion(g, 0, ball, hop, u_prop)
+        exhausted += v is None
+        accept = v is not None and u_acc < mh_acceptance(g, 0, v, cfg) + cfg.alpha_min
+        expected.append(v if accept else 0)
+    assert nxt.tolist() == expected
+    assert sampler.overflows == 300 and sampler.exhausted == exhausted > 0
+    assert len(set(expected)) == 3  # the hub and both frontier nodes
 
 
 def test_overflow_and_exhausted_steps_are_counted():
