@@ -15,20 +15,24 @@ marks the edges the parent lacks; `_delta` builds every delta from those
 marks. Per-node stats are derived from a version's edges when first read,
 so equal edges give equal stats however the version was built.
 
-Rows become columns once, at the entry point, and stay columns: CSV rows
-through `_columns`, and `segment_schedule` slices one parse of all its
-rows. A delta carries its edges as columns too, and a dump holds a
-version's columns as raw bytes. Wherever a bulk parse of rows rejects its
-input, the exact per-row `_coerce_record` takes over, and it alone names a
-bad row.
+Rows become columns once, at the entry point, and stay columns: an
+`EdgeRows`. `read_edge_csv` splits a CSV in the form `csv.writer` gives
+straight into columns, and `_columns` turns row tuples into them; both run
+one converter. `ingest_edges`, `apply_batch` and `segment_schedule` take
+either form and slice the columns. A delta carries its edges as columns
+too, and a dump holds a version's columns as raw bytes. Wherever a bulk
+parse of rows rejects its input, the exact per-row path takes over: the
+`csv.reader` loop names a bad line, and `_coerce_record` alone names a bad
+row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain, count
 from operator import itemgetter
 
 import numpy as np
@@ -84,6 +88,40 @@ class GraphDelta:
     affected_nodes: frozenset
     grown_nodes: frozenset
     edge_columns: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeRows:
+    """Raw transfer rows as columns, every row checked as `_coerce_record`
+    checks it: the `src` and `dst` address lists and the `value` (float64),
+    `ts` (int64) and `count` (int64) arrays. A slice, a boolean mask or an
+    index array selects rows; iterating yields (src, dst, value, ts, count)
+    tuples."""
+
+    src: list
+    dst: list
+    value: np.ndarray
+    ts: np.ndarray
+    count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, key) -> EdgeRows:
+        if isinstance(key, slice):
+            return EdgeRows(self.src[key], self.dst[key], self.value[key],
+                            self.ts[key], self.count[key])
+        at = np.asarray(key)
+        if at.dtype == bool:
+            at = np.flatnonzero(at)
+        pick = at.tolist()
+        return EdgeRows(list(map(self.src.__getitem__, pick)),
+                        list(map(self.dst.__getitem__, pick)),
+                        self.value[at], self.ts[at], self.count[at])
+
+    def __iter__(self):
+        return zip(self.src, self.dst, self.value.tolist(), self.ts.tolist(),
+                   self.count.tolist())
 
 
 def _rows(indptr: np.ndarray) -> np.ndarray:
@@ -349,36 +387,45 @@ def _coerce_record(record, where: str):
     return src, dst, value, ts, count
 
 
-def _columns(records) -> tuple:
-    """(src, dst, value, ts, count) columns of raw rows: the addresses as
-    lists, the rest as arrays. Any bad row raises TypeError, ValueError or
-    OverflowError without a name; `_coerce_record` names it."""
-    k = len(records)
+def _convert(src, dst, value, ts, cnt, k: int) -> EdgeRows:
+    """EdgeRows of k rows from column iterables: address strings, then
+    fields that `float` and `int` read; `cnt` None means count 1. Any bad
+    row raises TypeError, ValueError or OverflowError without a name;
+    `_coerce_record` names it."""
+    # one whitespace-free word each, as _coerce_record's strip-and-test
+    src = [a for (a,) in map(str.split, src)]
+    dst = [a for (a,) in map(str.split, dst)]
+    value = np.fromiter(map(float, value), np.float64, k)
+    ts = np.fromiter(map(int, ts), np.int64, k)
+    cnt = np.ones(k, dtype=np.int64) if cnt is None else np.fromiter(
+        map(int, cnt), np.int64, k)
+    if np.isnan(value).any() or (cnt < 1).any():
+        raise ValueError("a row fails a check")
+    return EdgeRows(src, dst, value, ts, cnt)
+
+
+def _columns(records) -> EdgeRows:
+    """The EdgeRows of a list of raw row tuples of 4 or 5 fields; EdgeRows
+    are returned as they are."""
+    if isinstance(records, EdgeRows):
+        return records
     widths = set(map(len, records))
     if not widths <= {4, 5}:
         raise ValueError("a row has the wrong number of fields")
     cols = list(zip(*records)) or [()] * 4
-    # one whitespace-free word each, as _coerce_record's strip-and-test
-    src = [a for (a,) in map(str.split, map(str, cols[0]))]
-    dst = [a for (a,) in map(str.split, map(str, cols[1]))]
-    value = np.fromiter(map(float, cols[2]), np.float64, k)
-    ts = np.fromiter(map(int, cols[3]), np.int64, k)
-    cnt = np.ones(k, dtype=np.int64) if 5 not in widths else np.fromiter(
-        (int(r[4]) if len(r) == 5 else 1 for r in records), np.int64, k)
-    if np.isnan(value).any() or (cnt < 1).any():
-        raise ValueError("a row fails a check")
-    return src, dst, value, ts, cnt
+    cnt = None if 5 not in widths else [r[4] if len(r) == 5 else 1 for r in records]
+    return _convert(map(str, cols[0]), map(str, cols[1]), cols[2], cols[3], cnt,
+                    len(records))
 
 
-def _parse(records, rejects, floor=None) -> tuple:
-    """The rows with a non-negative value as (src, dst, value, ts, count)
-    columns; the others go to `rejects` as (record number, reason), the
-    rows being numbered 1, 2, .... On any bad row the scalar
-    `_coerce_record` loop names the first one; a row older than `floor`
-    raises AppendOrderError before the negative skip."""
+def _parse(records, rejects, floor=None) -> EdgeRows:
+    """The rows with a non-negative value; the others go to `rejects` as
+    (record number, reason), the rows being numbered 1, 2, .... On any bad
+    row the scalar `_coerce_record` loop names the first one; a row older
+    than `floor` raises AppendOrderError before the negative skip."""
     try:
-        src, dst, value, ts, cnt = _columns(records)
-        if floor is not None and (ts < floor).any():
+        rows = _columns(records)
+        if floor is not None and (rows.ts < floor).any():
             raise ValueError("a row predates the floor")
     except (TypeError, ValueError, OverflowError):
         for i, record in enumerate(records, start=1):
@@ -389,37 +436,39 @@ def _parse(records, rejects, floor=None) -> tuple:
             if v < 0 and rejects is not None:
                 rejects.append((i, f"negative value {v}"))
         raise
-    keep = value >= 0
+    keep = rows.value >= 0
     if not keep.all():
         if rejects is not None:
             bad = np.flatnonzero(~keep).tolist()
             rejects.extend((j + 1, f"negative value {v}")
-                           for j, v in zip(bad, value[bad].tolist()))
-        src, dst = list(compress(src, keep)), list(compress(dst, keep))
-        value, ts, cnt = value[keep], ts[keep], cnt[keep]
-    return src, dst, value, ts, cnt
+                           for j, v in zip(bad, rows.value[bad].tolist()))
+        rows = rows[keep]
+    return rows
 
 
-def _extend(base: TransactionGraph, src, dst, w, ts, c, version: int) -> tuple:
+def _extend(base: TransactionGraph, rows: EdgeRows, version: int) -> tuple:
     """`_grow` on parsed rows: new addresses get ids in first-appearance
     order, and the high-water mark rises to the rows' latest timestamp."""
-    ends = list(chain.from_iterable(zip(src, dst)))
+    ends = list(chain.from_iterable(zip(rows.src, rows.dst)))
     ids = dict(base._ids)
     n_old = base.num_nodes
     addresses = base._addresses + [a for a in dict.fromkeys(ends) if a not in ids]
     ids.update(zip(addresses[n_old:], count(n_old)))
     nid = np.fromiter(map(ids.__getitem__, ends), np.intp, len(ends))
     max_ts = base.max_timestamp
-    if len(ts):
-        max_ts = int(ts.max()) if max_ts is None else max(max_ts, int(ts.max()))
-    return _grow(base, addresses, ids, nid[0::2], nid[1::2], w, ts, c,
-                 version, max_ts)
+    if len(rows):
+        top = int(rows.ts.max())
+        max_ts = top if max_ts is None else max(max_ts, top)
+    return _grow(base, addresses, ids, nid[0::2], nid[1::2], rows.value, rows.ts,
+                 rows.count, version, max_ts)
 
 
 def _append(base: TransactionGraph, records, rejects, version: int,
             floor=None) -> tuple:
-    """`_extend` on the rows of `records`."""
-    return _extend(base, *_parse(list(records), rejects, floor), version)
+    """`_extend` on the rows of `records`, EdgeRows or an iterable of tuples."""
+    if not isinstance(records, EdgeRows):
+        records = list(records)
+    return _extend(base, _parse(records, rejects, floor), version)
 
 
 def _delta(g_prev: TransactionGraph, g_next: TransactionGraph, columns,
@@ -516,7 +565,8 @@ def segment_sizes(n: int, initial_frac: float, step_frac: float) -> list:
 
 
 def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
-    """Sort rows by timestamp and build one cumulative graph per fraction.
+    """Sort rows (EdgeRows, or a list of raw row tuples) by timestamp and
+    build one cumulative graph per fraction.
 
     Ties in timestamp keep input order so segmentation is deterministic.
     Each returned graph is a successor version of the previous one, grown
@@ -526,7 +576,7 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
     order when some timestamp is not an int64.
     """
     try:
-        src, dst, value, ts, cnt = _columns(records)
+        rows = _columns(records)
     except (TypeError, ValueError, OverflowError):
         try:
             stamps = np.fromiter(map(int, map(itemgetter(3), records)), np.int64,
@@ -539,19 +589,15 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
         for i in order:
             _coerce_record(records[i], f"record {i + 1}")
         raise
-    sizes = segment_sizes(len(records), initial_frac, step_frac)
-    order = np.argsort(ts, kind="stable")
-    keep = value[order] >= 0
-    order = order[keep]
+    sizes = segment_sizes(len(rows), initial_frac, step_frac)
+    order = np.argsort(rows.ts, kind="stable")
+    keep = rows.value[order] >= 0
+    rows = rows[order[keep]]
     # kept rows at the end of each segment
     bounds = np.concatenate([[0], np.cumsum(keep)])[[0, *sizes]].tolist()
-    rows = order.tolist()
-    src, dst = [src[i] for i in rows], [dst[i] for i in rows]
-    w, t, c = value[order], ts[order], cnt[order]
     graphs, g = [], _empty()
     for version, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        g = _extend(g, src[lo:hi], dst[lo:hi], w[lo:hi], t[lo:hi], c[lo:hi],
-                    version)[0]
+        g = _extend(g, rows[lo:hi], version)[0]
         graphs.append(g)
     return graphs
 
@@ -560,28 +606,93 @@ def segment_schedule(records, initial_frac: float, step_frac: float) -> list:
 # File I/O
 # ---------------------------------------------------------------------------
 
-def read_edge_csv(path) -> list:
-    """Read a `src,dst,value,timestamp[,count]` CSV into raw row tuples."""
-    rows = []
+_CSV_HEADERS = ("src,dst,value,timestamp", "src,dst,value,timestamp,count")
+
+
+def read_edge_csv(path):
+    """Read a `src,dst,value,timestamp[,count]` CSV into EdgeRows.
+
+    A text in the form `csv.writer` gives is split straight into columns
+    (`_split_csv`); any other goes through the exact `csv.reader` loop,
+    which names a bad line. A data line must have the header's number of
+    fields; blank lines are skipped. When some row's fields do not convert,
+    the raw row tuples are returned, so that `ingest_edges` and
+    `segment_schedule` name the bad record as they name a bad tuple.
+    """
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        expected = ["src", "dst", "value", "timestamp"]
-        got = [c.strip().lower() for c in header]
-        if got[:4] != expected or (len(got) == 5 and got[4] != "count") or len(got) > 5:
-            raise ParseError(f"{path}:1: bad header {header!r}; "
-                             f"expected src,dst,value,timestamp[,count]")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if not (4 <= len(fields) <= 5):
-                raise ParseError(f"{path}:{line_no}: expected {len(got)} fields, "
-                                 f"got {len(fields)}")
-            rows.append(tuple(fields))
-    return rows
+        text = fh.read()
+    rows = _split_csv(text)
+    if rows is not None:
+        return rows
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    got = [c.strip().lower() for c in header]
+    if got not in [h.split(",") for h in _CSV_HEADERS]:
+        raise ParseError(f"{path}:1: bad header {header!r}; "
+                         f"expected src,dst,value,timestamp[,count]")
+    for line_no, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        if len(fields) != len(got):
+            raise ParseError(f"{path}:{line_no}: expected {len(got)} fields, "
+                             f"got {len(fields)}")
+        rows.append(tuple(fields))
+    try:
+        return _columns(rows)
+    except (TypeError, ValueError, OverflowError):
+        return rows
+
+
+def _split_csv(text: str) -> EdgeRows | None:
+    """The EdgeRows of a CSV text that `csv.reader` would split on its
+    commas and line ends alone, or None. That holds when the text has no
+    quote and no NUL, every carriage return is part of a CRLF, the header
+    is one of `_CSV_HEADERS` exactly, and every line has the header's k
+    fields (so none is blank), each of at most `csv.field_size_limit()`
+    bytes. None also when a field does not convert."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    end = text.find("\n")
+    if end < 0 or text[:end] not in _CSV_HEADERS:
+        return None
+    k = text.count(",", 0, end) + 1
+    lines = _csv_lines(text, k)
+    if lines is None:
+        return None
+    tok = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        tok.pop()
+    try:
+        return _convert(tok[k::k], tok[k + 1::k], tok[k + 2::k], tok[k + 3::k],
+                        tok[k + 4::k] if k == 5 else None, lines - 1)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _csv_lines(text: str, k: int) -> int | None:
+    """The number of lines of `text` (a final line end is optional) when
+    each has k comma-separated fields of at most `csv.field_size_limit()`
+    bytes, else None."""
+    # a comma or newline byte never falls inside a UTF-8 sequence
+    b = np.frombuffer(text.encode("utf-8"), np.uint8)
+    at = np.flatnonzero((b == 44) | (b == 10))
+    sep = b[at]
+    final = text.endswith("\n")
+    # the separators run (k - 1 commas, a newline) per line
+    lines, extra = divmod(len(sep) + 1 - final, k)
+    if (extra or (sep[k - 1::k] != 10).any()
+            or np.count_nonzero(sep == 10) != lines - 1 + final
+            or np.diff(at, prepend=-1, append=len(b)).max() > csv.field_size_limit() + 1):
+        return None
+    return lines
 
 
 # a dump's header fields, and its edge columns in file order

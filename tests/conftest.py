@@ -1,8 +1,10 @@
+import csv
 from itertools import islice
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from walkforge.errors import ParseError
 from walkforge.walks import _FALLBACK_TRIES, keyed_uniforms
 
 settings.register_profile(
@@ -21,6 +23,32 @@ def rows_from_edges(edges, value=1.0, names=None):
         nu = names[u] if names else f"n{u}"
         nv = names[v] if names else f"n{v}"
         rows.append((nu, nv, w, ts))
+    return rows
+
+
+def csv_reader_rows(path):
+    """Reference for read_edge_csv: the rows of an edge CSV as the raw
+    field tuples of `csv.reader`, after the header check; blank lines are
+    skipped and a row must have the header's number of fields."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        got = [c.strip().lower() for c in header]
+        if got not in (["src", "dst", "value", "timestamp"],
+                       ["src", "dst", "value", "timestamp", "count"]):
+            raise ParseError(f"{path}:1: bad header {header!r}; "
+                             f"expected src,dst,value,timestamp[,count]")
+        rows = []
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(got):
+                raise ParseError(f"{path}:{line_no}: expected {len(got)} fields, "
+                                 f"got {len(fields)}")
+            rows.append(tuple(fields))
     return rows
 
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import tracemalloc
@@ -25,9 +26,9 @@ from walkforge import (
     segment_sizes,
     unbiased_update,
 )
-from walkforge.graph import STAT_KINDS, _coerce_record
+from walkforge.graph import STAT_KINDS, EdgeRows, _coerce_record, _columns, _split_csv
 from walkforge.synth import preferential_attachment_stream
-from conftest import random_rows, rows_from_edges, upstream_hops
+from conftest import csv_reader_rows, random_rows, rows_from_edges, upstream_hops
 
 
 def to_nx(g):
@@ -902,7 +903,8 @@ def test_read_edge_csv(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("src,dst,value,timestamp\na,b,1.5,10\nb,c,2,11\n")
     rows = read_edge_csv(path)
-    assert rows == [("a", "b", "1.5", "10"), ("b", "c", "2", "11")]
+    assert (rows.src, rows.dst, rows.value.tolist(), rows.ts.tolist(),
+            rows.count.tolist()) == (["a", "b"], ["b", "c"], [1.5, 2.0], [10, 11], [1, 1])
     bad = tmp_path / "bad.csv"
     bad.write_text("src,dst,value,timestamp\na,b,1.5\n")
     with pytest.raises(ParseError, match=":2"):
@@ -911,6 +913,141 @@ def test_read_edge_csv(tmp_path):
     nohdr.write_text("a,b,1.5,10\n")
     with pytest.raises(ParseError, match=":1"):
         read_edge_csv(nohdr)
+
+
+@pytest.mark.parametrize("header, line, got", [
+    ("src,dst,value,timestamp", "a,b,1.5,10,7", 5),
+    ("src,dst,value,timestamp,count", "a,b,1.5,10", 4),
+])
+def test_read_edge_csv_rows_have_the_headers_field_count(tmp_path, header, line, got):
+    """A row of the other width is refused, whichever the header, on the
+    bulk path and on the csv.reader path (forced by a quoted address)."""
+    k = header.count(",") + 1
+    good = "a,b,1.5,10" + ",7" * (k == 5)
+    for first in (good, '"a",b,1.5,10' + ",7" * (k == 5)):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"{header}\n{first}\n{line}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: expected {k} "
+                                             f"fields, got {got}$"):
+            read_edge_csv(path)
+    # row tuples keep both widths
+    g = ingest_edges([("a", "b", 1.5, 10), ("a", "b", 1.5, 10, 7)])
+    assert next(g.edges()).count == 8
+
+
+# odd fields by kind: (column, text); for an address, column 0 or 1
+ODD_FIELDS = {
+    "address": [(0, " a"), (1, "b "), (0, "a\xa0b"), (1, "\xa0"), (0, ""), (1, "a\rb"),
+                (0, "a\0")],
+    "number": [(2, "1_0"), (2, "inf"), (2, "nan"), (2, "x"), (2, " 3"), (2, "1\r"),
+               (3, "1_0"), (3, "-1"), (3, "x"), (3, "99999999999999999999"), (4, "0")],
+    "quoted": [(0, '"a"'), (1, '"1,2"'), (2, '"2"')],
+}
+ODD_LINES = ["wide", "narrow", "shifted", "blank", "lone cr"]
+
+
+@st.composite
+def edge_csv_texts(draw):
+    """Small edge CSV texts in the form csv.writer gives (LF or CRLF line
+    ends, with or without a final one), with up to two oddities: an odd
+    field (padded, quoted, not a number, holding a carriage return or a
+    NUL), a row of the wrong width, a wide row then a narrow one, a blank
+    line or a line of a lone carriage return. A few headers are not the
+    exact one, or are bad."""
+    exact = ["src,dst,value,timestamp", "src,dst,value,timestamp,count"]
+    header = draw(st.sampled_from(exact * 3 + [" Src,dst,value,timestamp", "src,dst,value"]))
+    k = max(4, header.count(",") + 1)
+    # numeric addresses let a misread line still convert
+    address = st.sampled_from(["a", "b", "1", "2"])
+    rows = [[draw(address), draw(address), draw(st.sampled_from(["1", "2.5", "-1", "-0.0"])),
+             str(draw(st.integers(0, 9))), draw(st.sampled_from(["1", "2", "3"]))][:k]
+            for _ in range(draw(st.integers(0, 8)))]
+    lines = [header] + [",".join(row) for row in rows]
+    oddity = st.sampled_from([*ODD_FIELDS, *ODD_LINES])
+    for odd in draw(st.lists(oddity, max_size=2)):
+        at = draw(st.integers(1, len(lines)))
+        if odd in ("blank", "lone cr"):
+            lines.insert(at, "" if odd == "blank" else "\r")
+        elif at == len(lines):
+            continue
+        elif odd in ("wide", "narrow", "shifted"):
+            if odd != "narrow":
+                lines[at] += ",1"
+            if odd != "wide" and at + (odd == "shifted") < len(lines):
+                at = draw(st.integers(at + (odd == "shifted"), len(lines) - 1))
+                lines[at] = lines[at].rpartition(",")[0]
+        else:
+            col, text = draw(st.sampled_from(ODD_FIELDS[odd]))
+            fields = lines[at].split(",")
+            fields[min(col, len(fields) - 1)] = text
+            lines[at] = ",".join(fields)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(call):
+    """call(rejects)'s result, or its error, with the rejects it left."""
+    rejects = []
+    try:
+        return call(rejects), rejects
+    except WalkforgeError as exc:
+        return (type(exc), str(exc)), rejects
+
+
+def _batch_snapshot(rows, rejects):
+    half = len(rows) // 2
+    g, delta = apply_batch(ingest_edges(rows[:half], rejects=rejects), rows[half:],
+                           rejects=rejects)
+    return (snapshot(g), delta.new_nodes, delta.affected_nodes,
+            [col.tolist() for col in delta.edge_columns])
+
+
+@settings(max_examples=150)
+@given(text=edge_csv_texts())
+@example(text="src,dst,value,timestamp,count\r\na,b,1.5,0,2\r\nb,a,-1,1,1")
+@example(text="src,dst,value,timestamp\n a,b ,-0.0,1\nb,c,1_0,2\nc,a,inf,3\n")
+@example(text="src,dst,value,timestamp\r\n\r\na,b,1,2\r\n")  # a blank line
+@example(text="src,dst,value,timestamp,count\n")
+@example(text='src,dst,value,timestamp\na,"b",1,2\n')
+@example(text="src,dst,value,timestamp\na,b,1\r,2\n")  # float() strips the \r
+@example(text="src,dst,value,timestamp\n1,2,1,2,1\n2,1,1\n")  # 8 fields, 2 lines
+@example(text="src,dst,value,timestamp\n1,2\n1,2\n")  # 4 fields, 2 lines
+@example(text="src,dst,value,timestamp\na\xa0b,c,1,2\n")
+@example(text="src,dst,value,timestamp\na,b,nan,1\n")
+@example(text="src,dst,value,timestamp,count\na,b,1,1,0\n")
+# csv.reader refuses a field over its size limit
+@example(text=f"src,dst,value,timestamp\na,{'b' * (csv.field_size_limit() + 1)},1,2\n")
+def test_read_edge_csv_equals_csv_reader_rows(tmp_path_factory, text):
+    """read_edge_csv, then ingest_edges, segment_schedule and apply_batch,
+    give the graphs, rejects and error messages that the same calls give
+    on csv.reader's row tuples."""
+    path = tmp_path_factory.mktemp("csv") / "edges.csv"
+    path.write_bytes(text.encode("utf-8"))
+    runs = []
+    for read in (read_edge_csv, csv_reader_rows):
+        try:
+            rows = read(path)
+        except (ParseError, csv.Error) as exc:
+            runs.append((type(exc), str(exc)))
+            continue
+        runs.append([
+            _outcome(lambda rejects: snapshot(ingest_edges(rows, rejects=rejects))),
+            _outcome(lambda _: [snapshot(g) for g in segment_schedule(rows, 0.5, 0.25)]),
+            _outcome(lambda rejects: _batch_snapshot(rows, rejects))])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_csv_writer_output_takes_the_bulk_path(tmp_path, eol):
+    path = tmp_path / "edges.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator=eol)
+        w.writerow(["src", "dst", "value", "timestamp"])
+        w.writerows(random_rows(10, 30, seed=2))
+    text = path.read_bytes().decode()
+    rows = _split_csv(text)
+    assert isinstance(rows, EdgeRows) and len(rows) == 30
+    assert list(rows) == list(_columns(csv_reader_rows(path)))
 
 
 def test_read_edge_csv_optional_count_column(tmp_path):

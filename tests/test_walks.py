@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from walkforge import (
@@ -252,11 +252,18 @@ def chained_steps(g, cfg, ids, prefixes):
     return out, tuple(counts)
 
 
+# a hub whose frontier overflows a cap of 1 (see test_guard_step_equals_scalar_expansion)
+HUB_EDGES = ([(0, i) for i in range(1, 21)] + [(i, 0) for i in range(2, 21, 2)]
+             + [(2, 21), (4, 22), (21, 0), (21, 23), (22, 24)])
+
+
 @given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
                                 st.floats(0.1, 5.0)), min_size=1, max_size=50),
        hop=st.integers(1, 3), cap=st.sampled_from([None, 1, 4]),
        proposal=st.sampled_from("SE"), stat=st.sampled_from(STAT_KINDS),
        prefixed=st.booleans(), seed=st.integers(0, 2**32))
+# the guard path's tries that end early, and landings with a return path
+@example(edges=HUB_EDGES, hop=3, cap=1, proposal="S", stat="D_in", prefixed=False, seed=0)
 def test_lockstep_leap_walks_equal_chained_steps(edges, hop, cap, proposal, stat,
                                                 prefixed, seed):
     g = ingest_edges(rows_from_edges(edges))
@@ -354,9 +361,7 @@ def test_guard_step_equals_scalar_expansion(hop):
     walks run out of retries. At hop 3 a try that ends at a spoke has used
     2 of its 3 uniforms, and the next try starts on the third. The array
     guard step equals the plain-loop oracle draw for draw."""
-    edges = ([(0, i) for i in range(1, 21)] + [(i, 0) for i in range(2, 21, 2)]
-             + [(2, 21), (4, 22), (21, 0), (21, 23), (22, 24)])
-    g = ingest_edges(rows_from_edges(edges))
+    g = ingest_edges(rows_from_edges(HUB_EDGES))
     cfg = WalkConfig(hop=hop, alpha_min=0.3, frontier_cap=1, seed=0)
     sampler = LeapSampler(g, cfg)
     unif = rng_(11).random((300, 2))
