@@ -60,7 +60,6 @@ from .embedding import (
 )
 from .evaluation import (
     EvalReport,
-    LogRegConfig,
     LogRegModel,
     TransitionTable,
     accuracy_f1,

@@ -368,7 +368,7 @@ def import_embeddings(path) -> EmbeddingMatrix:
         if count < 0 or dim < 1:
             raise ParseError(f"{path}:1: need count >= 0 and dim >= 1, "
                              f"got count={count} dim={dim}")
-        names, rows = [], []  # collected as read: the header may overstate
+        line_of, rows = {}, []  # collected as read: the header may overstate
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -382,8 +382,11 @@ def import_embeddings(path) -> EmbeddingMatrix:
                 rows.append([float(x) for x in fields[1:]])
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: non-numeric vector entry") from None
-            names.append(fields[0])
+            if fields[0] in line_of:
+                raise ParseError(f"{path}:{line_no}: name {fields[0]!r} repeats "
+                                 f"line {line_of[fields[0]]}")
+            line_of[fields[0]] = line_no
     if len(rows) != count:
         raise ParseError(f"{path}: header declares {count} rows, found {len(rows)}")
     vectors = np.array(rows, dtype=np.float64).reshape(count, dim)
-    return EmbeddingMatrix(vectors, np.zeros_like(vectors), names=names)
+    return EmbeddingMatrix(vectors, np.zeros_like(vectors), names=list(line_of))

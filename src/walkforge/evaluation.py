@@ -5,11 +5,15 @@ The MAE protocol compares, per directed edge, the frequency with which a
 uniform walk corpus traversed the edge against the 1/out-degree reference,
 averaging the absolute gap over every edge of the graph; edges the corpus
 never visited count with their full reference probability. The reference
-only makes sense for uniform stepping, so MH corpora are rejected.
+only makes sense for uniform stepping, so MH corpora are rejected. Both
+sides are arrays: the corpus's sorted pair counts and the graph's out-CSR,
+joined by one `searchsorted` on keys src * width + dst. The per-edge gaps
+are summed with the builtin `sum` in CSR order, which gives the float of a
+plain loop over the edges.
 
-Classification trains an L2-regularized logistic regression on balanced
-positive/negative embedding sets with stratified 80/20 splits, repeated
-over independently drawn negative samples.
+Classification trains an L2-regularized logistic regression (fixed penalty,
+tolerance and step cap) on balanced positive/negative embedding sets with
+stratified 80/20 splits, repeated over independently drawn negative samples.
 """
 
 from __future__ import annotations
@@ -27,17 +31,14 @@ from .embedding import EmbeddingMatrix
 
 @dataclass
 class TransitionTable:
-    """Consecutive-pair counts of a walk corpus."""
+    """Consecutive-pair counts of a walk corpus: each distinct pair once,
+    sorted by (src, dst), and the number of steps taken from each node."""
 
-    counts: dict            # (src, dst) -> int
-    row_totals: dict        # src -> int
+    src: np.ndarray         # int, sorted by (src, dst)
+    dst: np.ndarray
+    counts: np.ndarray      # steps from src to dst
+    row_totals: np.ndarray  # steps from each node id up to the largest token
     mode: str
-
-    def prob(self, u: int, v: int) -> float:
-        total = self.row_totals.get(u)
-        if not total:
-            return 0.0
-        return self.counts.get((u, v), 0) / total
 
 
 def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
@@ -47,56 +48,50 @@ def empirical_transitions(corpus: WalkCorpus) -> TransitionTable:
     width = int(tokens.max()) + 1
     has_next = np.ones(len(tokens) - 1, dtype=bool)
     has_next[np.cumsum(lengths[:-1]) - 1] = False  # a walk's last token
+    row_totals = np.bincount(tokens[:-1][has_next], minlength=width)
     codes = tokens[:-1][has_next] * width  # pair (u, v) as u * width + v
     codes += tokens[1:][has_next]
     del tokens, has_next  # freed before np.unique sorts a copy of codes
     codes, counts = np.unique(codes, return_counts=True)
     src, dst = np.divmod(codes, width)
-    sources, first = np.unique(src, return_index=True)
-    return TransitionTable(
-        dict(zip(zip(src.tolist(), dst.tolist()), counts.tolist())),
-        dict(zip(sources.tolist(), np.add.reduceat(counts, first).tolist())),
-        corpus.mode)
+    return TransitionTable(src, dst, counts, row_totals, corpus.mode)
 
 
-def theoretical_transitions(g: TransactionGraph) -> dict:
-    """Per directed edge, the uniform-walk probability 1/out_degree."""
+def theoretical_transitions(g: TransactionGraph) -> tuple:
+    """(src, dst, prob): every directed edge in out-CSR order with its
+    uniform-walk probability 1/out_degree(src)."""
     csr = g.out_csr()
     deg = np.diff(csr.indptr)
     src = np.repeat(np.arange(len(deg)), deg)
-    return dict(zip(zip(src.tolist(), csr.indices.tolist()),
-                    (1.0 / deg[src]).tolist()))
+    return src, csr.indices, 1.0 / deg[src]
 
 
-def delta_mae(emp: TransitionTable, theo: dict) -> float:
+def delta_mae(emp: TransitionTable, theo: tuple) -> float:
     """Mean |empirical - theoretical| over all directed edges of the graph."""
     if emp.mode != MODE_UNIFORM:
         raise ModeMismatchError(
             "transition MAE is defined against the 1/out-degree reference, "
             f"which only uniform corpora follow (corpus mode: {emp.mode!r})")
-    if not theo:
+    src, dst, p = theo
+    if not len(p):
         raise ValueError("graph has no edges")
-    return sum(abs(emp.prob(u, v) - p) for (u, v), p in theo.items()) / len(theo)
+    # keys ordered as (src, dst): width exceeds every dst of either side
+    width = max(len(emp.row_totals), int(dst.max()) + 1)
+    keys = src * width + dst
+    emp_keys = np.append(emp.src * width + emp.dst, np.iinfo(np.int64).max)
+    at = np.searchsorted(emp_keys, keys)  # at most the sentinel's index
+    seen = emp_keys[at] == keys
+    q = np.zeros(len(p))  # empirical probability; 0 on an unvisited edge
+    q[seen] = emp.counts[at[seen]] / emp.row_totals[src[seen]]
+    # builtin sum, in edge order: np.sum and math.fsum round differently
+    return sum(np.abs(q - p).tolist()) / len(p)
 
 
 # ---------------------------------------------------------------------------
 # Logistic regression (plain full-batch gradient descent)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogRegConfig:
-    lr: float | None = None     # None -> 1/L from a Lipschitz bound
-    epochs: int = 20000
-    l2: float = 0.01
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.lr is not None and self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+_L2, _TOL, _MAX_STEPS = 0.01, 1e-6, 20000  # penalty, gradient-norm stop, step cap
 
 
 @dataclass
@@ -122,25 +117,20 @@ def _logreg_gradient(w, X, y, l2):
     return grad
 
 
-def train_logreg(X, y, cfg: LogRegConfig | None = None) -> LogRegModel:
-    """Full-batch gradient descent until the gradient norm drops below tol."""
-    cfg = cfg or LogRegConfig()
+def train_logreg(X, y) -> LogRegModel:
+    """Full-batch gradient descent, step 1/L, until the gradient norm is below _TOL."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
         raise InputError("need a 2-D feature matrix with one label per row")
     if y.min() == y.max():
         raise InputError("labels are a single class; nothing to separate")
-    if cfg.lr is not None:
-        step = cfg.lr
-    else:
-        # logistic-loss curvature is at most (1/4n) X'X + l2 I
-        lipschitz = (np.square(X).sum() + len(y)) / (4.0 * len(y)) + cfg.l2
-        step = 1.0 / lipschitz
+    # logistic-loss curvature is at most (1/4n) X'X + l2 I
+    step = 1.0 / ((np.square(X).sum() + len(y)) / (4.0 * len(y)) + _L2)
     w = np.zeros(X.shape[1] + 1)
-    for _ in range(cfg.epochs):
-        grad = _logreg_gradient(w, X, y, cfg.l2)
-        if np.linalg.norm(grad) < cfg.tol:
+    for _ in range(_MAX_STEPS):
+        grad = _logreg_gradient(w, X, y, _L2)
+        if np.linalg.norm(grad) < _TOL:
             break
         w -= step * grad
     return LogRegModel(w)
@@ -158,8 +148,9 @@ def balanced_sets(emb: EmbeddingMatrix, positives, repeats: int, seed: int) -> l
         raise InputError("no positive nodes given")
     for u in positives:
         emb._check(u)
-    pos_set = set(positives)
-    pool = np.array([u for u in range(emb.num_nodes) if u not in pos_set])
+    unlabeled = np.ones(emb.num_nodes, dtype=bool)
+    unlabeled[positives] = False
+    pool = np.flatnonzero(unlabeled)
     need = len(positives)
     if len(pool) < need:
         raise InputError(f"need {need} negative candidates, only {len(pool)} "
@@ -223,6 +214,8 @@ def classify_eval(emb: EmbeddingMatrix, positives, split: float = 0.8,
     reporting mean accuracy and positive-class F1 over the repeats."""
     if not 0.0 < split < 1.0:
         raise ConfigError(f"split must be in (0,1), got {split}")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     t0 = time.perf_counter()
     per_repeat = []
     for r, (ids, labels) in enumerate(balanced_sets(emb, positives, repeats, seed)):

@@ -1,11 +1,12 @@
 import csv
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from walkforge.errors import ParseError
-from walkforge.walks import _FALLBACK_TRIES, keyed_uniforms
+from walkforge.errors import ModeMismatchError, ParseError
+from walkforge.walks import _FALLBACK_TRIES, MODE_UNIFORM, keyed_uniforms
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -169,3 +170,60 @@ def sgns_step_oracle(inp, out, pairs, negatives, lr, row_hits):
             if h:
                 new[row] -= lr * min(1.0, row_hits / h) * grad[row]
     return new_in, new_out
+
+
+# The transition MAE as per-pair dicts and a loop over the graph's edges:
+# the reference that the array join in walkforge.evaluation must equal.
+
+@dataclass
+class TransitionTable:
+    """Consecutive-pair counts of a walk corpus."""
+
+    counts: dict            # (src, dst) -> int
+    row_totals: dict        # src -> int
+    mode: str
+
+    def prob(self, u: int, v: int) -> float:
+        total = self.row_totals.get(u)
+        if not total:
+            return 0.0
+        return self.counts.get((u, v), 0) / total
+
+
+def empirical_transitions(corpus) -> TransitionTable:
+    if not len(corpus):
+        raise ValueError("corpus has no walks")
+    tokens, lengths = corpus.flat_tokens()
+    width = int(tokens.max()) + 1
+    has_next = np.ones(len(tokens) - 1, dtype=bool)
+    has_next[np.cumsum(lengths[:-1]) - 1] = False  # a walk's last token
+    codes = tokens[:-1][has_next] * width  # pair (u, v) as u * width + v
+    codes += tokens[1:][has_next]
+    del tokens, has_next  # freed before np.unique sorts a copy of codes
+    codes, counts = np.unique(codes, return_counts=True)
+    src, dst = np.divmod(codes, width)
+    sources, first = np.unique(src, return_index=True)
+    return TransitionTable(
+        dict(zip(zip(src.tolist(), dst.tolist()), counts.tolist())),
+        dict(zip(sources.tolist(), np.add.reduceat(counts, first).tolist())),
+        corpus.mode)
+
+
+def theoretical_transitions(g) -> dict:
+    """Per directed edge, the uniform-walk probability 1/out_degree."""
+    csr = g.out_csr()
+    deg = np.diff(csr.indptr)
+    src = np.repeat(np.arange(len(deg)), deg)
+    return dict(zip(zip(src.tolist(), csr.indices.tolist()),
+                    (1.0 / deg[src]).tolist()))
+
+
+def delta_mae(emp: TransitionTable, theo: dict) -> float:
+    """Mean |empirical - theoretical| over all directed edges of the graph."""
+    if emp.mode != MODE_UNIFORM:
+        raise ModeMismatchError(
+            "transition MAE is defined against the 1/out-degree reference, "
+            f"which only uniform corpora follow (corpus mode: {emp.mode!r})")
+    if not theo:
+        raise ValueError("graph has no edges")
+    return sum(abs(emp.prob(u, v) - p) for (u, v), p in theo.items()) / len(theo)

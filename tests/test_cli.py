@@ -485,6 +485,32 @@ def test_bad_embeddings_header_exits_2(tmp_path, sbm_workdir, capsys):
         assert capsys.readouterr().err.startswith(f"error: {emb}:"), head
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_eval_classify_repeats_below_one_exits_2(sbm_workdir, capsys, repeats):
+    tmp_path, graph, labels = sbm_workdir
+    corpus, emb, out = tmp_path / "c.wfw", tmp_path / "emb.txt", tmp_path / "r.json"
+    main(["walk", str(graph), "--n", "2", "--out", str(corpus)])
+    main(["train", str(corpus), "--graph", str(graph), "--dim", "4", "--out", str(emb)])
+    capsys.readouterr()
+    assert main(["eval", "classify", "--embeddings", str(emb), "--labels", str(labels),
+                 "--repeats", repeats, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: repeats must be >= 1, got {repeats}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_eval_classify_refuses_a_repeated_embedding_name(sbm_workdir, capsys):
+    tmp_path, _, labels = sbm_workdir
+    emb, out = tmp_path / "emb.txt", tmp_path / "r.json"
+    name = labels.read_text().splitlines()[1].split(",")[0]  # a positive's address
+    emb.write_text(f"3 2\n{name} 1.0 1.0\nother 0.0 0.0\n{name} -1.0 -1.0\n")
+    capsys.readouterr()
+    assert main(["eval", "classify", "--embeddings", str(emb), "--labels", str(labels),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {emb}:4: name {name!r} repeats line 2\n"
+    assert not out.exists()
+
+
 def test_eval_classify_missing_labels(tmp_path, sbm_workdir):
     _, graph, _ = sbm_workdir
     corpus = tmp_path / "c.wfw"

@@ -481,6 +481,14 @@ def test_import_header_mismatch(tmp_path):
             import_embeddings(path)
 
 
+def test_import_refuses_a_repeated_name(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2\na 0.0 0.0\nb 1.0 1.0\n\na 2.0 2.0\n")
+    with pytest.raises(ParseError) as err:
+        import_embeddings(path)
+    assert str(err.value) == f"{path}:5: name 'a' repeats line 2"
+
+
 def test_min_count_drops_rare_nodes_from_pairs():
     walks = [(0, 1, 0, 1), (0, 1), (2,)] * 2 + [(3, 0)]
     c = corpus_of(walks, 4)

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from walkforge import (
+    ConfigError,
     EmbeddingMatrix,
     InputError,
-    LogRegConfig,
     ModeMismatchError,
     WalkConfig,
     accuracy_f1,
@@ -22,13 +23,30 @@ from walkforge import (
     theoretical_transitions,
     train_logreg,
 )
-from walkforge.evaluation import _logreg_gradient
+from walkforge.evaluation import _L2, _logreg_gradient
 from walkforge.walks import WalkCorpus
+import conftest as reference
 from conftest import pad_walks, random_rows, rows_from_edges
 
 
 def corpus_of(walks, num_nodes, mode="uniform"):
     return WalkCorpus(pad_walks(walks, 5), 0, 1, 5, mode, num_nodes)
+
+
+def pair_counts(table):
+    """{(src, dst): count} read from the table's pair arrays."""
+    return dict(zip(zip(table.src.tolist(), table.dst.tolist()), table.counts.tolist()))
+
+
+def nonzero_totals(table):
+    """{node: steps from it} for every node the corpus stepped from."""
+    return {u: t for u, t in enumerate(table.row_totals.tolist()) if t}
+
+
+def edge_probs(theo):
+    """{(src, dst): prob} read from theoretical_transitions' arrays, in order."""
+    src, dst, prob = theo
+    return dict(zip(zip(src.tolist(), dst.tolist()), prob.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +55,15 @@ def corpus_of(walks, num_nodes, mode="uniform"):
 
 def test_empirical_counts_single_walk():
     table = empirical_transitions(corpus_of([(0, 1, 2)], 3))
-    assert table.counts == {(0, 1): 1, (1, 2): 1}
-    assert table.row_totals == {0: 1, 1: 1}
-    assert table.prob(0, 1) == 1.0 and table.prob(2, 0) == 0.0
+    assert pair_counts(table) == {(0, 1): 1, (1, 2): 1}
+    assert table.row_totals.tolist() == [1, 1, 0]
+    assert table.counts[0] / table.row_totals[0] == 1.0 and table.row_totals[2] == 0
 
 
 def test_empirical_stub_walks_empty_table():
     table = empirical_transitions(corpus_of([(0,), (1,), (2,)], 3))
-    assert not table.counts and not table.row_totals
+    assert not len(table.src) and not len(table.dst) and not len(table.counts)
+    assert not table.row_totals.any()
 
 
 def test_empirical_matches_pairwise_scan_oracle():
@@ -57,23 +76,24 @@ def test_empirical_matches_pairwise_scan_oracle():
         for i in range(len(w) - 1):
             oracle[(w[i], w[i + 1])] = oracle.get((w[i], w[i + 1]), 0) + 1
             totals[w[i]] = totals.get(w[i], 0) + 1
-    assert table.counts == oracle
-    assert table.row_totals == totals
+    assert pair_counts(table) == oracle
+    assert list(zip(table.src.tolist(), table.dst.tolist())) == sorted(oracle)
+    assert nonzero_totals(table) == totals
 
 
 def test_empirical_rows_normalize():
     rng = np.random.default_rng(1)
     walks = [tuple(int(x) for x in rng.integers(0, 10, size=5)) for _ in range(50)]
     table = empirical_transitions(corpus_of(walks, 10))
-    for u in table.row_totals:
+    for u in nonzero_totals(table):
         total = sum(v / table.row_totals[u]
-                    for (a, _), v in table.counts.items() if a == u)
+                    for (a, _), v in pair_counts(table).items() if a == u)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theoretical_is_inverse_out_degree():
     g = ingest_edges(rows_from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (4, 0)]))
-    theo = theoretical_transitions(g)
+    theo = edge_probs(theoretical_transitions(g))
     assert theo[(0, 1)] == pytest.approx(0.25)
     assert theo[(4, 0)] == 1.0
     assert not any(src == 1 for src, _ in theo)  # sink contributes no rows
@@ -84,7 +104,7 @@ def test_theoretical_is_inverse_out_degree():
     g = ingest_edges(random_rows(30, 120, seed=4))
     expected = {(u, v): 1.0 / len(g.out_neighbors(u))
                 for u in g.nodes() for v in g.out_neighbors(u)}
-    theo = theoretical_transitions(g)
+    theo = edge_probs(theoretical_transitions(g))
     assert list(theo.items()) == list(expected.items())  # same keys, order, floats
 
 
@@ -132,6 +152,43 @@ def test_delta_mae_decreases_with_corpus_size():
     assert medians[0] > medians[1] > medians[2]
 
 
+def mae_pair(corpus, g):
+    """(array join, dict reference) MAE of one corpus on one graph."""
+    return (delta_mae(empirical_transitions(corpus), theoretical_transitions(g)),
+            reference.delta_mae(reference.empirical_transitions(corpus),
+                                reference.theoretical_transitions(g)))
+
+
+@given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      min_size=1, max_size=30, unique=True),
+       data=st.data())
+def test_delta_mae_equals_dict_reference(edges, data):
+    """Sinks (nodes only ever a dst), length-1 walks, unvisited edges,
+    steps along no edge and corpora over fewer nodes than the graph."""
+    g = ingest_edges(rows_from_edges(edges))
+    span = data.draw(st.integers(1, g.num_nodes), label="span")
+    walks = data.draw(st.lists(st.lists(st.integers(0, span - 1), min_size=1,
+                                        max_size=5).map(tuple),
+                               min_size=1, max_size=25), label="walks")
+    new, ref = mae_pair(corpus_of(walks, g.num_nodes), g)
+    assert new == ref
+    shuffled = data.draw(st.permutations(walks), label="shuffled")
+    assert mae_pair(corpus_of(shuffled, g.num_nodes), g) == (ref, ref)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    walked = generate_corpus(g, WalkConfig(num_walks=2, walk_length=5, seed=seed),
+                             "uniform")
+    new, ref = mae_pair(walked, g)
+    assert new == ref
+
+
+def test_delta_mae_equals_dict_reference_on_a_larger_graph():
+    g = ingest_edges(random_rows(300, 2400, seed=11))
+    corpus = generate_corpus(g, WalkConfig(num_walks=3, walk_length=10, seed=5),
+                             "uniform")
+    new, ref = mae_pair(corpus, g)
+    assert new == ref and 0.0 < new < 1.0
+
+
 # ---------------------------------------------------------------------------
 # logistic regression
 # ---------------------------------------------------------------------------
@@ -146,7 +203,7 @@ def blobs(n, seed, gap=3.0):
 
 def test_logreg_separable_blobs_perfect_train_accuracy():
     X, y = blobs(40, seed=3, gap=8.0)
-    model = train_logreg(X, y, LogRegConfig(l2=1e-4))
+    model = train_logreg(X, y)
     assert (model.predict(X) == y).mean() == 1.0
 
 
@@ -160,9 +217,8 @@ def test_logreg_identical_features_predict_prior():
 
 def test_logreg_reaches_stationarity():
     X, y = blobs(50, seed=4, gap=2.0)
-    cfg = LogRegConfig()
-    model = train_logreg(X, y, cfg)
-    grad = _logreg_gradient(model.weights, X, y, cfg.l2)
+    model = train_logreg(X, y)
+    grad = _logreg_gradient(model.weights, X, y, _L2)
     assert np.linalg.norm(grad) < 1e-5
 
 
@@ -199,6 +255,18 @@ def test_balanced_sets_reproducible():
     b = balanced_sets(emb, set(range(10)), repeats=3, seed=7)
     for (ia, la), (ib, lb) in zip(a, b):
         assert np.array_equal(ia, ib) and np.array_equal(la, lb)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_balanced_sets_draw_from_the_ascending_pool(seed):
+    emb = make_emb()
+    positives = {3, 5, 8, 13, 21, 34}
+    pool = np.array([u for u in range(emb.num_nodes) if u not in positives])
+    sets = balanced_sets(emb, positives, repeats=3, seed=seed)
+    for r, (ids, labels) in enumerate(sets):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        expected = rng.choice(pool, size=len(positives), replace=False)
+        assert ids[labels == 0].tolist() == expected.tolist()
 
 
 def test_balanced_sets_insufficient_negatives():
@@ -246,6 +314,12 @@ def test_classify_eval_stratified_split_sizes():
     report = classify_eval(emb, set(range(10)), split=0.8, repeats=2, seed=4)
     for rec in report.per_repeat:
         assert rec["train_size"] == 16 and rec["test_size"] == 4
+
+
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_classify_eval_rejects_repeats_below_one(repeats):
+    with pytest.raises(ConfigError, match=f"repeats must be >= 1, got {repeats}"):
+        classify_eval(make_emb(), set(range(10)), repeats=repeats)
 
 
 MH_PIPELINE = """
